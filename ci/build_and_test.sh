@@ -11,7 +11,8 @@ BUILD_TYPE="${1:-Release}"
 BUILD_DIR="${2:-build-ci-$(echo "$BUILD_TYPE" | tr '[:upper:]' '[:lower:]')}"
 JOBS="$(nproc)"
 
-cmake -S . -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE="$BUILD_TYPE"
+# Warnings are errors here: the tree builds clean, and it has to stay that way.
+cmake -S . -B "$BUILD_DIR" -DCMAKE_BUILD_TYPE="$BUILD_TYPE" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$BUILD_DIR" -j "$JOBS"
 ctest --test-dir "$BUILD_DIR" --output-on-failure -j "$JOBS"
 

@@ -91,7 +91,7 @@ struct Check {
 lf::ScenarioRequest member_request(int i, const std::string& ckpt_root) {
   (void)ckpt_root;
   lf::ScenarioRequest req;
-  req.name = "w" + std::to_string(i);
+  req.name = std::string("w").append(std::to_string(i));
   req.config = member_config(i);
   req.days = days_for_steps(req.config, kSteps);
   req.nranks = 1;

@@ -12,11 +12,6 @@
 
 namespace licomk::core {
 
-/// Columns never exceed this (Table III tops out at 244 levels); column
-/// functors use fixed-size scratch so they stay trivially copyable and fit
-/// the CPE LDM model.
-inline constexpr int kMaxLevels = 256;
-
 namespace dyn {
 
 struct DensityK {
@@ -561,8 +556,9 @@ struct BclincColumnK {
                       kappa_m(k, j + 1, i + 1));
     }
     if (nlev > 0) {
-      implicit_vertical_solve(nlev, dt2, kf, dz, zc, un);
-      implicit_vertical_solve(nlev, dt2, kf, dz, zc, vn);
+      VerticalFactors lu;
+      lu.factor(nlev, dt2, kf, dz, zc);
+      lu.solve(un, vn);
       // Re-anchor the depth mean to the barotropic solution.
       double mu = 0.0;
       double mv = 0.0;
@@ -627,12 +623,11 @@ kxx::MDRangePolicy3 interior3(const LocalGrid& g) {
 
 }  // namespace
 
-void implicit_vertical_solve(int nlev, double dt, const double* kappa_face, const double* dz,
-                             const double* zc, double* x) {
+void VerticalFactors::factor(int n, double dt, const double* kappa_face, const double* dz,
+                             const double* zc) {
+  nlev = n;
   if (nlev <= 1) return;
   double a[kMaxLevels];
-  double b[kMaxLevels];
-  double c[kMaxLevels];
   for (int k = 0; k < nlev; ++k) {
     double lam_up = 0.0;
     double lam_dn = 0.0;
@@ -642,14 +637,39 @@ void implicit_vertical_solve(int nlev, double dt, const double* kappa_face, cons
     b[k] = 1.0 + lam_up + lam_dn;
     c[k] = -lam_dn;
   }
-  // Thomas forward sweep.
+  // Thomas forward elimination of the matrix.
   for (int k = 1; k < nlev; ++k) {
-    double m = a[k] / b[k - 1];
-    b[k] -= m * c[k - 1];
-    x[k] -= m * x[k - 1];
+    m[k] = a[k] / b[k - 1];
+    b[k] -= m[k] * c[k - 1];
   }
+}
+
+void VerticalFactors::solve(double* x) const {
+  if (nlev <= 1) return;
+  for (int k = 1; k < nlev; ++k) x[k] -= m[k] * x[k - 1];
   x[nlev - 1] /= b[nlev - 1];
   for (int k = nlev - 2; k >= 0; --k) x[k] = (x[k] - c[k] * x[k + 1]) / b[k];
+}
+
+void VerticalFactors::solve(double* x, double* y) const {
+  if (nlev <= 1) return;
+  for (int k = 1; k < nlev; ++k) {
+    x[k] -= m[k] * x[k - 1];
+    y[k] -= m[k] * y[k - 1];
+  }
+  x[nlev - 1] /= b[nlev - 1];
+  y[nlev - 1] /= b[nlev - 1];
+  for (int k = nlev - 2; k >= 0; --k) {
+    x[k] = (x[k] - c[k] * x[k + 1]) / b[k];
+    y[k] = (y[k] - c[k] * y[k + 1]) / b[k];
+  }
+}
+
+void implicit_vertical_solve(int nlev, double dt, const double* kappa_face, const double* dz,
+                             const double* zc, double* x) {
+  VerticalFactors lu;
+  lu.factor(nlev, dt, kappa_face, dz, zc);
+  lu.solve(x);
 }
 
 void compute_density(const LocalGrid& g, bool linear_eos, const halo::BlockField3D& t,

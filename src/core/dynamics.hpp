@@ -80,10 +80,33 @@ void run_barotropic(const LocalGrid& g, const ModelConfig& cfg, OceanState& stat
 void baroclinic_update(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                        const halo::BlockField2D& ubar_avg, const halo::BlockField2D& vbar_avg);
 
-/// Tridiagonal (Thomas) solve of the implicit vertical mixing system for one
-/// column: (I - dt * d/dz kappa d/dz) x = rhs, zero-flux boundaries.
-/// `kappa_face[k]` sits below cell k; `dz[k]` are thicknesses; `zc[k]` cell
-/// centers. x is rhs on input, solution on output. Exposed for unit tests.
+/// Columns never exceed this (Table III tops out at 244 levels); column
+/// functors use fixed-size scratch so they stay trivially copyable and fit
+/// the CPE LDM model.
+inline constexpr int kMaxLevels = 256;
+
+/// Thomas factorisation of one column's implicit vertical mixing matrix
+/// (I - dt * d/dz kappa d/dz), zero-flux boundaries. The matrix depends only
+/// on kappa and the grid, so columns whose tracers (T and S) or velocity
+/// components (u and v) share a diffusivity factor it once and apply it to
+/// every right-hand side.
+struct VerticalFactors {
+  int nlev = 0;
+  double m[kMaxLevels];  ///< forward-sweep multipliers (m[0] unused)
+  double b[kMaxLevels];  ///< eliminated diagonal
+  double c[kMaxLevels];  ///< super-diagonal
+
+  /// `kappa_face[k]` sits below cell k; `dz[k]` are thicknesses; `zc[k]`
+  /// cell centers.
+  void factor(int n, double dt, const double* kappa_face, const double* dz, const double* zc);
+  /// Solve in place: x is the right-hand side on input, the solution on
+  /// output. The two-argument form sweeps both columns in one pass; each
+  /// result is bit-identical to its own single solve.
+  void solve(double* x) const;
+  void solve(double* x, double* y) const;
+};
+
+/// Factor and solve for a single right-hand side. Exposed for unit tests.
 void implicit_vertical_solve(int nlev, double dt, const double* kappa_face, const double* dz,
                              const double* zc, double* x);
 

@@ -191,22 +191,23 @@ struct LapFieldK {
   }
 };
 
-/// Column finisher: penetrating shortwave, implicit vertical diffusion,
-/// surface restoring.
-struct TracerColumnK {
+/// Column finisher for both tracers in one pass: penetrating shortwave (T),
+/// surface restoring, and implicit vertical diffusion. T and S share
+/// kappa_t, so the climatological forcing is evaluated and the tridiagonal
+/// matrix factored once per column and applied to both right-hand sides.
+struct TracerColumnPairK {
   CI2 kmt;
   CF2 lon, lat;
-  CF3 kappa_t, q_old;
-  F3 q;  ///< advected+diffused field, solved in place
+  CF3 kappa_t, t_old, s_old;
+  F3 t, s;  ///< advected+diffused fields, solved in place
   const double* dz = nullptr;
   const double* zc = nullptr;
-  const double* iface = nullptr;  ///< nz+1 interface depths
+  /// Jerlov shortwave_fraction at the nz+1 interface depths, or nullptr
+  /// when shortwave penetration is off.
+  const double* sw_frac = nullptr;
   double dt = 0.0;
   double restore_rate = 0.0;  ///< 1/s
   double day_of_year = 0.0;
-  int which = 0;  ///< 0 = temperature, 1 = salinity
-  int solar = 0;  ///< Jerlov shortwave penetration (temperature only)
-  int nz = 0;
   /// Heat-flux ensemble perturbation: offset on the SST restoring target
   /// (the restoring term IS the surface heat flux; shortwave is
   /// redistributive over the column, so this is the effective flux knob).
@@ -215,15 +216,17 @@ struct TracerColumnK {
   void operator()(long long j, long long i) const {
     int nlev = kmt(j, i);
     if (nlev == 0) return;
-    double col[256];
-    double kf[256];
+    double ct[kMaxLevels];
+    double cs[kMaxLevels];
+    double kf[kMaxLevels];
     for (int k = 0; k < nlev; ++k) {
-      col[k] = q(k, j, i);
+      ct[k] = t(k, j, i);
+      cs[k] = s(k, j, i);
       kf[k] = kappa_t(k, j, i);
     }
     SurfaceForcing f = climatological_forcing(lon(j, i), lat(j, i), day_of_year);
 
-    if (which == 0 && solar != 0) {
+    if (sw_frac != nullptr) {
       // Penetrating shortwave: the Jerlov profile deposits heat through the
       // upper ocean. The column-integrated surface balance (longwave/latent
       // cooling vs insolation) is already folded into the restoring target,
@@ -232,18 +235,23 @@ struct TracerColumnK {
       // the subsurface, the physical effect the profile exists to capture.
       double q0 = f.shortwave / (kRho0 * kCp);  // K m / s
       for (int k = 0; k < nlev; ++k) {
-        double absorbed = shortwave_fraction(iface[k]) - shortwave_fraction(iface[k + 1]);
-        if (k == nlev - 1) absorbed += shortwave_fraction(iface[nlev]);  // bottom absorbs rest
-        col[k] += dt * q0 * absorbed / dz[k];
+        double absorbed = sw_frac[k] - sw_frac[k + 1];
+        if (k == nlev - 1) absorbed += sw_frac[nlev];  // bottom absorbs rest
+        ct[k] += dt * q0 * absorbed / dz[k];
       }
-      col[0] -= dt * q0 / dz[0];
+      ct[0] -= dt * q0 / dz[0];
     }
 
     // Surface restoring enters as an explicit source in the top cell.
-    double target = which == 0 ? f.sst_target + sst_offset_c : f.sss_target;
-    col[0] += dt * restore_rate * (target - q_old(0, j, i));
-    implicit_vertical_solve(nlev, dt, kf, dz, zc, col);
-    for (int k = 0; k < nlev; ++k) q(k, j, i) = col[k];
+    ct[0] += dt * restore_rate * (f.sst_target + sst_offset_c - t_old(0, j, i));
+    cs[0] += dt * restore_rate * (f.sss_target - s_old(0, j, i));
+    VerticalFactors lu;
+    lu.factor(nlev, dt, kf, dz, zc);
+    lu.solve(ct, cs);
+    for (int k = 0; k < nlev; ++k) {
+      t(k, j, i) = ct[k];
+      s(k, j, i) = cs[k];
+    }
   }
 };
 
@@ -253,7 +261,7 @@ struct TracerColumnK {
 KXX_REGISTER_FOR_3D(trc_hdiff, licomk::core::trc::HDiffK);
 KXX_REGISTER_FOR_3D(trc_hdiff_pair, licomk::core::trc::FusedHDiffPairK);
 KXX_REGISTER_FOR_3D(trc_lap_field, licomk::core::trc::LapFieldK);
-KXX_REGISTER_FOR_2D(trc_column, licomk::core::trc::TracerColumnK);
+KXX_REGISTER_FOR_2D(trc_column, licomk::core::trc::TracerColumnPairK);
 
 namespace licomk::core {
 
@@ -302,53 +310,58 @@ void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                                   static_cast<long long>(sizeof(double)));
   }
 
-  for (int which = 0; which < 2; ++which) {
-    const halo::BlockField3D& q_cur = which == 0 ? state.t_cur : state.s_cur;
-    halo::BlockField3D& q_new = which == 0 ? state.t_new : state.s_new;
-
-    if (fuse) {
-      // Horizontal diffusion already applied by the fused pair sweep above.
-    } else if (cfg.hmix == HMixScheme::Laplacian) {
-      trc::HDiffK hd{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                     cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                     cref(q_cur),        mref(q_new),        g.vertical().thicknesses().data(),
-                     dt * ah,            seam};
-      kxx::parallel_for("trc_hdiff", interior3, hd);
-    } else {
-      // Biharmonic: lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
-      kxx::MDRangePolicy3 ring1({0, 1, 1},
-                                {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
-      trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                        cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                        cref(q_cur),        mref(ws.hmix_lap),
-                        g.vertical().thicknesses().data(), seam};
-      kxx::parallel_for("trc_lap_field", ring1, lf);
-      trc::HDiffK bh{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                     cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                     cref(ws.hmix_lap),  mref(q_new),        g.vertical().thicknesses().data(),
-                     -dt * a4,           seam};
-      kxx::parallel_for("trc_hdiff", interior3, bh);
+  if (!fuse) {
+    for (int which = 0; which < 2; ++which) {
+      const halo::BlockField3D& q_cur = which == 0 ? state.t_cur : state.s_cur;
+      halo::BlockField3D& q_new = which == 0 ? state.t_new : state.s_new;
+      if (cfg.hmix == HMixScheme::Laplacian) {
+        trc::HDiffK hd{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                       cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                       cref(q_cur),        mref(q_new),        g.vertical().thicknesses().data(),
+                       dt * ah,            seam};
+        kxx::parallel_for("trc_hdiff", interior3, hd);
+      } else {
+        // Biharmonic: lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
+        kxx::MDRangePolicy3 ring1({0, 1, 1}, {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
+        trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                          cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                          cref(q_cur),        mref(ws.hmix_lap),
+                          g.vertical().thicknesses().data(), seam};
+        kxx::parallel_for("trc_lap_field", ring1, lf);
+        trc::HDiffK bh{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                       cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                       cref(ws.hmix_lap),  mref(q_new),        g.vertical().thicknesses().data(),
+                       -dt * a4,           seam};
+        kxx::parallel_for("trc_hdiff", interior3, bh);
+      }
     }
-
-    trc::TracerColumnK tc{cref(g.kmt_view()),
-                          cref(g.lon_view()),
-                          cref(g.lat_view()),
-                          cref(state.kappa_t),
-                          cref(q_cur),
-                          mref(q_new),
-                          g.vertical().thicknesses().data(),
-                          g.vertical().centers().data(),
-                          g.vertical().interfaces().data(),
-                          dt,
-                          restore_rate,
-                          day_of_year,
-                          which,
-                          cfg.solar_penetration ? 1 : 0,
-                          g.nz(),
-                          cfg.sst_target_offset_c};
-    kxx::parallel_for("trc_column", interior2, tc);
-    q_new.mark_dirty();
   }
+
+  // The shortwave absorption profile depends only on the interface depths:
+  // tabulate it once per step instead of twice per level in every column.
+  LICOMK_REQUIRE(g.nz() <= kMaxLevels, "column deeper than kMaxLevels");
+  double sw_frac[kMaxLevels + 1];
+  const double* iface = g.vertical().interfaces().data();
+  for (int k = 0; k <= g.nz(); ++k) sw_frac[k] = shortwave_fraction(iface[k]);
+
+  trc::TracerColumnPairK tc{cref(g.kmt_view()),
+                            cref(g.lon_view()),
+                            cref(g.lat_view()),
+                            cref(state.kappa_t),
+                            cref(state.t_cur),
+                            cref(state.s_cur),
+                            mref(state.t_new),
+                            mref(state.s_new),
+                            g.vertical().thicknesses().data(),
+                            g.vertical().centers().data(),
+                            cfg.solar_penetration ? sw_frac : nullptr,
+                            dt,
+                            restore_rate,
+                            day_of_year,
+                            cfg.sst_target_offset_c};
+  kxx::parallel_for("trc_column", interior2, tc);
+  state.t_new.mark_dirty();
+  state.s_new.mark_dirty();
 }
 
 }  // namespace licomk::core

@@ -9,7 +9,7 @@
 #include "telemetry/telemetry.hpp"
 #include "util/crc64.hpp"
 
-KXX_REGISTER_FOR_1D(halo_box_copy, licomk::halo::detail::BoxCopy);
+KXX_REGISTER_FOR_3D(halo_box_copy, licomk::halo::detail::BoxCopy);
 
 namespace licomk::halo {
 
@@ -125,6 +125,7 @@ void HaloExchanger::pack_box(const double* base, int nz, Halo3DMethod method, in
   BoxCopy op;
   op.src = base + static_cast<long long>(j0) * nxt + i0;
   op.dst = out;
+  op.n0 = nz;
   op.n1 = nj;
   op.n2 = ni;
   op.ss0 = nxt * nyt;
@@ -133,7 +134,7 @@ void HaloExchanger::pack_box(const double* base, int nz, Halo3DMethod method, in
   op.ds0 = bs.s0;
   op.ds1 = bs.s1;
   op.ds2 = bs.s2;
-  box_copy(op, nz);
+  box_copy(op);
   const std::uint64_t elements = static_cast<std::uint64_t>(nz) * nj * ni;
   stats_.packed_elements += elements;
   note_counter("halo.packed_elements", elements);
@@ -148,6 +149,7 @@ void HaloExchanger::unpack_box(double* base, int nz, Halo3DMethod method, int j0
   BoxCopy op;
   op.src = in;
   op.dst = base + static_cast<long long>(j0) * nxt + i0;
+  op.n0 = nz;
   op.n1 = nj;
   op.n2 = ni;
   op.ss0 = bs.s0;
@@ -157,7 +159,7 @@ void HaloExchanger::unpack_box(double* base, int nz, Halo3DMethod method, int j0
   op.ds1 = dst_sj;
   op.ds2 = dst_si;
   op.scale = scale;
-  box_copy(op, nz);
+  box_copy(op);
   const std::uint64_t elements = static_cast<std::uint64_t>(nz) * nj * ni;
   stats_.unpacked_elements += elements;
   note_counter("halo.unpacked_elements", elements);

@@ -20,6 +20,7 @@ inline void transpose_h2v(const double* src, double* dst, long long nk, long lon
   detail::BoxCopy op;
   op.src = src;
   op.dst = dst;
+  op.n0 = nk;
   op.n1 = nj;
   op.n2 = ni;
   op.ss0 = nj * ni;  // iterate (k, j, i) over the h-major source
@@ -28,7 +29,7 @@ inline void transpose_h2v(const double* src, double* dst, long long nk, long lon
   op.ds0 = 1;        // scatter k-fastest into the v-major destination
   op.ds1 = ni * nk;
   op.ds2 = nk;
-  detail::box_copy(op, nk);
+  detail::box_copy(op);
 }
 
 /// Vertical-major (j, i, k) → horizontal-major (k, j, i). Fig. 5b: applied to
@@ -38,6 +39,7 @@ inline void transpose_v2h(const double* src, double* dst, long long nk, long lon
   detail::BoxCopy op;
   op.src = src;
   op.dst = dst;
+  op.n0 = nk;
   op.n1 = nj;
   op.n2 = ni;
   op.ss0 = 1;
@@ -46,7 +48,7 @@ inline void transpose_v2h(const double* src, double* dst, long long nk, long lon
   op.ds0 = nj * ni;
   op.ds1 = ni;
   op.ds2 = 1;
-  detail::box_copy(op, nk);
+  detail::box_copy(op);
 }
 
 }  // namespace licomk::halo

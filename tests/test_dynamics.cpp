@@ -92,6 +92,39 @@ TEST(ImplicitVerticalSolve, SmoothsAndPreservesConstants) {
   }
 }
 
+// The shared-factorisation two-RHS sweep must reproduce two independent
+// single solves byte for byte: the tracer column and bclinc kernels rely on
+// it to stay bit-identical to their per-field history.
+TEST(ImplicitVerticalSolve, TwoRhsMatchesTwoSingleSolvesBitwise) {
+  for (int n : {1, 2, 15, lc::kMaxLevels}) {
+    std::vector<double> dz(n), zc(n), kf(n), x(n), y(n);
+    double z = 0.0;
+    for (int k = 0; k < n; ++k) {
+      const auto u = static_cast<size_t>(k);
+      dz[u] = 5.0 + 3.0 * std::sin(0.3 * k) + 0.1 * k;
+      zc[u] = z + 0.5 * dz[u];
+      z += dz[u];
+      kf[u] = 1e-4 + 0.02 * std::fabs(std::cos(0.9 * k));
+      x[u] = 20.0 - 0.05 * k + std::sin(1.3 * k);
+      y[u] = 34.5 + 0.01 * std::cos(0.7 * k);
+    }
+    std::vector<double> x1 = x, y1 = y;
+    lc::implicit_vertical_solve(n, 1440.0, kf.data(), dz.data(), zc.data(), x1.data());
+    lc::implicit_vertical_solve(n, 1440.0, kf.data(), dz.data(), zc.data(), y1.data());
+
+    lc::VerticalFactors lu;
+    lu.factor(n, 1440.0, kf.data(), dz.data(), zc.data());
+    std::vector<double> x2 = x, y2 = y;
+    lu.solve(x2.data(), y2.data());
+    const size_t bytes = static_cast<size_t>(n) * sizeof(double);
+    EXPECT_EQ(std::memcmp(x1.data(), x2.data(), bytes), 0) << "nlev " << n;
+    EXPECT_EQ(std::memcmp(y1.data(), y2.data(), bytes), 0) << "nlev " << n;
+    if (n > 1) {
+      EXPECT_NE(std::memcmp(x.data(), x2.data(), bytes), 0) << "nlev " << n;
+    }
+  }
+}
+
 TEST(ImplicitVerticalSolve, SingleLevelIsIdentity) {
   double x = 7.0;
   double dz = 10.0, zc = 5.0, kf = 0.1;

@@ -246,9 +246,10 @@ TEST(ExchangeGroup, ZonalOnlyRefreshesEastWestThenFullRestoresAll) {
     for (int k = 0; k < fs.t.nz(); ++k)
       for (int lj = kH; lj < kH + fs.t.ny(); ++lj)
         for (int li = 0; li < fs.t.nx_total(); ++li)
-          if (li < kH || li >= kH + fs.t.nx())
+          if (li < kH || li >= kH + fs.t.nx()) {
             ASSERT_DOUBLE_EQ(fs.t.at(k, lj, li), ref.t.at(k, lj, li))
                 << "k=" << k << " lj=" << lj << " li=" << li;
+          }
 
     // A final full exchange makes the whole state bit-identical again.
     fs.t.mark_dirty();

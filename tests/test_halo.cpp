@@ -4,12 +4,15 @@
 // operators.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <memory>
 #include <utility>
 #include <vector>
 
 #include "comm/runtime.hpp"
+#include "halo/box_copy.hpp"
 #include "halo/halo_exchange.hpp"
 #include "halo/transpose.hpp"
 #include "kxx/kxx.hpp"
@@ -207,7 +210,9 @@ TEST(Halo, StatsCountMessagesAndBytes) {
     EXPECT_GT(st.bytes, 0u);
     EXPECT_GT(st.packed_elements, 0u);
     EXPECT_EQ(st.packed_elements, st.unpacked_elements);
-    if (d.block(c.rank()).j1 == d.ny()) EXPECT_GE(st.fold_messages, 1u);
+    if (d.block(c.rank()).j1 == d.ny()) {
+      EXPECT_GE(st.fold_messages, 1u);
+    }
   });
 }
 
@@ -266,6 +271,68 @@ TEST(Transpose, WorksOnAthreadBackendViaRegistry) {
   lh::transpose_h2v(src.data(), mid.data(), nk, nj, ni);
   lh::transpose_v2h(mid.data(), back.data(), nk, nj, ni);
   EXPECT_EQ(src, back);
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+}
+
+// The 3-D BoxCopy dispatch against a plain nested reference loop, on the box
+// shapes the exchanger produces: vertical-major and horizontal-major buffer
+// strides, fold unpacks that walk the destination backwards in j and i with
+// scale = -1, and degenerate single-row / single-column boxes. Bit-identical
+// under Serial and under strict AthreadSim (no MPE fallback).
+TEST(BoxCopy, MatchesReferenceLoopOnFoldStyleBoxes) {
+  struct Shape {
+    long long n0, n1, n2;
+    bool fold;        ///< mirror the destination in j and i (negative strides)
+    bool vert_major;  ///< source buffer has k fastest (Fig. 5)
+    double scale;
+  };
+  const Shape shapes[] = {
+      {15, 2, 60, true, true, -1.0},  {15, 2, 60, true, false, 1.0},
+      {15, 2, 60, false, true, 1.0},  {15, 40, 2, false, false, 1.0},
+      {7, 1, 33, true, true, -1.0},   {7, 2, 1, true, false, -1.0},
+      {1, 1, 1, true, true, -1.0},    {80, 2, 5, false, true, 1.0},
+      {1, 2, 64, true, false, -1.0},  {0, 2, 8, false, false, 1.0},
+  };
+  for (bool athread : {false, true}) {
+    kxx::initialize(athread ? kxx::InitConfig{kxx::Backend::AthreadSim, 1, true}
+                            : kxx::InitConfig{kxx::Backend::Serial, 1, false});
+    for (const Shape& sh : shapes) {
+      // Destination: a padded horizontal-major block larger than the box.
+      const long long nxt = sh.n2 + 5, nyt = sh.n1 + 3;
+      const long long plane = nxt * nyt;
+      std::vector<double> src(static_cast<size_t>(sh.n0 * sh.n1 * sh.n2));
+      for (size_t n = 0; n < src.size(); ++n) src[n] = std::sin(0.37 * static_cast<double>(n));
+      std::vector<double> got(static_cast<size_t>(std::max(sh.n0, 1LL) * plane), -7.0);
+      std::vector<double> want = got;
+
+      lh::detail::BoxCopy op;
+      op.n0 = sh.n0;
+      op.n1 = sh.n1;
+      op.n2 = sh.n2;
+      op.ss0 = sh.vert_major ? 1 : sh.n1 * sh.n2;
+      op.ss1 = sh.vert_major ? sh.n2 * sh.n0 : sh.n2;
+      op.ss2 = sh.vert_major ? sh.n0 : 1;
+      const long long j_start = sh.fold ? 1 + sh.n1 - 1 : 1;
+      const long long i_start = sh.fold ? 2 + sh.n2 - 1 : 2;
+      op.ds0 = plane;
+      op.ds1 = sh.fold ? -nxt : nxt;
+      op.ds2 = sh.fold ? -1 : 1;
+      op.scale = sh.scale;
+      op.src = src.data();
+      op.dst = got.data() + j_start * nxt + i_start;
+      lh::detail::box_copy(op);
+
+      double* ref = want.data() + j_start * nxt + i_start;
+      for (long long a = 0; a < sh.n0; ++a)
+        for (long long b = 0; b < sh.n1; ++b)
+          for (long long c = 0; c < sh.n2; ++c)
+            ref[a * op.ds0 + b * op.ds1 + c * op.ds2] =
+                sh.scale * src[static_cast<size_t>(a * op.ss0 + b * op.ss1 + c * op.ss2)];
+      EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(double)), 0)
+          << (athread ? "athread" : "serial") << " box " << sh.n0 << "x" << sh.n1 << "x"
+          << sh.n2 << (sh.fold ? " fold" : "") << (sh.vert_major ? " v-major" : " h-major");
+    }
+  }
   kxx::initialize({kxx::Backend::Serial, 1, false});
 }
 

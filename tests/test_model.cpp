@@ -453,3 +453,48 @@ TEST(Model, SolarPenetrationWarmsSubsurfaceNotColumn) {
   EXPECT_LT(dsurf / count, 0.0);  // surface slightly cooled
   EXPECT_GT(dsub / count, 0.0);   // subsurface warmed
 }
+
+// Golden final-state fingerprints. The CRC matrices above only compare paths
+// with each other, so a change made consistently in every path would pass
+// them; these constants pin the absolute bytes of the prognostic state after
+// kGoldenSteps steps. A rewrite that claims bit-identity must reproduce them.
+TEST(Model, GoldenStateCrcPinned) {
+  constexpr int kGoldenSteps = 6;
+  struct Golden {
+    const char* name;
+    kxx::Backend backend;
+    void (*tweak)(lc::ModelConfig&);
+    StateSig sig;
+  };
+  // The default, unfused and AthreadSim paths are bit-identical by design,
+  // so they share one fingerprint.
+  const StateSig def{0xbbae2f9b800f1617ull, 0xf9c1b9ed1c9d8a39ull, 0x3e48902c45066fecull,
+                     0x8103f846dc0fa724ull, 0x831d1913fbbc94fcull};
+  const Golden cases[] = {
+      {"default", kxx::Backend::Serial, [](lc::ModelConfig&) {}, def},
+      {"no_solar",
+       kxx::Backend::Serial,
+       [](lc::ModelConfig& c) { c.solar_penetration = false; },
+       {0x13bf16a441585431ull, 0xdd6400bed6239223ull, 0x73b5f536f308530full,
+        0xb0ebc456fda13bd4ull, 0xfd5e74d4885893bfull}},
+      {"biharmonic",
+       kxx::Backend::Serial,
+       [](lc::ModelConfig& c) { c.hmix = lc::HMixScheme::Biharmonic; },
+       {0xc3d02df05ab6e8b2ull, 0x3e86503100eca6ffull, 0x6c1fcdcfd7910ec7ull,
+        0x4fc5a5d3b2075ccfull, 0x7ab1eb848d8aebd0ull}},
+      {"unfused", kxx::Backend::Serial, [](lc::ModelConfig& c) { c.fuse_kernels = false; }, def},
+      {"athread", kxx::Backend::AthreadSim, [](lc::ModelConfig&) {}, def},
+  };
+  for (const Golden& g : cases) {
+    kxx::initialize({g.backend, 1, false});
+    auto cfg = small_config();
+    g.tweak(cfg);
+    lc::LicomModel m(cfg);
+    for (int n = 0; n < kGoldenSteps; ++n) m.step();
+    StateSig sig = state_signature(m);
+    EXPECT_TRUE(sig == g.sig) << g.name << std::hex << ": {0x" << sig.t << "ull, 0x" << sig.s
+                              << "ull, 0x" << sig.u << "ull, 0x" << sig.v << "ull, 0x"
+                              << sig.eta << "ull}";
+  }
+  kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
+}

@@ -202,9 +202,10 @@ TEST(PersistentGroup, PerPeerFusionMergesZonalStrips) {
     for (int k = 0; k < per.t.nz(); ++k)
       for (int lj = kH; lj < kH + per.t.ny(); ++lj)
         for (int li = 0; li < per.t.nx_total(); ++li)
-          if (li < kH || li >= kH + per.t.nx())
+          if (li < kH || li >= kH + per.t.nx()) {
             ASSERT_DOUBLE_EQ(per.t.at(k, lj, li), bat.t.at(k, lj, li))
                 << "k=" << k << " lj=" << lj << " li=" << li;
+          }
     // A full exchange through both engines stays bit-identical.
     bat.refill(7);
     per.refill(7);

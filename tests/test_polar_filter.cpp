@@ -120,7 +120,9 @@ TEST(PolarFilter, DampsGridScaleNoiseOnFilteredRows) {
     double eq_before = row_amplitude(equator);
     filter.apply(f, ex, lh::FoldSign::Symmetric, false);
     // Fold row: checkerboard strongly damped; equator: untouched.
-    if (top_before > 0.0) EXPECT_LT(row_amplitude(top), 0.5 * top_before);
+    if (top_before > 0.0) {
+      EXPECT_LT(row_amplitude(top), 0.5 * top_before);
+    }
     EXPECT_DOUBLE_EQ(row_amplitude(equator), eq_before);
   });
 }

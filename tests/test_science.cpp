@@ -117,7 +117,9 @@ TEST(Science, ZonalMeanReflectsStratification) {
     ASSERT_TRUE(zm.has_ocean(j_tropic, 0));
     ASSERT_TRUE(zm.has_ocean(j_tropic, zm.nz - 1));
     EXPECT_GT(zm.at(j_tropic, 0), zm.at(j_tropic, zm.nz - 1));
-    if (zm.has_ocean(j_south, 0)) EXPECT_GT(zm.at(j_tropic, 0), zm.at(j_south, 0));
+    if (zm.has_ocean(j_south, 0)) {
+      EXPECT_GT(zm.at(j_tropic, 0), zm.at(j_south, 0));
+    }
   });
 }
 
