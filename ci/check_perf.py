@@ -163,6 +163,43 @@ def check_pack_context(path, role):
     return errors
 
 
+# Gauges a licomk_halo_gauges section must carry — the halo message regime
+# behind the timings, recorded from a batched halo_batching_smoke run (plan
+# cache reuse, local self-copies, barotropic-subcycle message count).
+_HALO_GAUGE_KEYS = ("halo.group.plan_builds", "halo.group.plan_hits",
+                    "halo.group.self_copies", "halo_smoke.subcycle_messages")
+
+
+def check_halo_context(path, role):
+    """Validate the OPTIONAL `licomk_halo_gauges` baseline-context section.
+
+    Absence is fine, but a present section must carry every gauge above as a
+    number under its engine-neutral name; the retired `halo.persistent.*`
+    names mean the baseline predates the single group engine. Returns a list
+    of error strings (empty when acceptable); callers report them and exit 2.
+    """
+    with open(path) as f:
+        context = json.load(f).get("context", {})
+    halo = context.get("licomk_halo_gauges")
+    if halo is None:
+        return []
+    where = f"{role} {path}: licomk_halo_gauges"
+    if not isinstance(halo, dict):
+        return [f"{where} must be an object, got {type(halo).__name__} "
+                "(regenerate with ci/update_baseline.sh)"]
+    errors = [f"{where}: retired gauge name '{key}' "
+              "(regenerate with ci/update_baseline.sh)"
+              for key in sorted(halo) if key.startswith("halo.persistent.")]
+    for key in _HALO_GAUGE_KEYS:
+        if key not in halo:
+            errors.append(f"{where} is missing gauge '{key}' "
+                          "(regenerate with ci/update_baseline.sh)")
+        elif not isinstance(halo[key], (int, float)):
+            errors.append(f"{where}: gauge '{key}' must be a number, "
+                          f"got {type(halo[key]).__name__}")
+    return errors
+
+
 # Keys a licomk_elasticity_gauges section must carry — the elastic-resilience
 # regime recorded from the growback soak drill (shrink chain, a single
 # grow-back, final size) plus the weighted-decomposition imbalance pair.
@@ -234,6 +271,8 @@ def main():
     build_errors += check_farm_context(args.current, "current")
     build_errors += check_pack_context(args.baseline, "baseline")
     build_errors += check_pack_context(args.current, "current")
+    build_errors += check_halo_context(args.baseline, "baseline")
+    build_errors += check_halo_context(args.current, "current")
     build_errors += check_elasticity_context(args.baseline, "baseline")
     build_errors += check_elasticity_context(args.current, "current")
     if build_errors:

@@ -5,17 +5,19 @@
 # artifact subdirectory, and gates on the exported metrics.json:
 #
 #   default  — three TRANSIENT faults (comm message drop, DMA transfer error,
-#              torn checkpoint generation); the supervisor must recover
-#              through all of them with a final state bit-for-bit identical
-#              to the fault-free twin, and must never shrink.
+#              torn checkpoint generation) on a 2-rank run; the supervisor
+#              must recover through all of them with a final state
+#              bit-for-bit identical to the fault-free twin, and must never
+#              shrink.
 #   rankloss — a PERSISTENT crash kills rank 1 of a 2-rank run on every
 #              relaunch; the supervisor must shrink to 1 rank exactly once,
 #              redistribute the newest verified checkpoint onto the smaller
 #              decomposition with per-field global CRC-64 equality, resume,
 #              and finish. The final state's per-field CRCs are exported as
 #              soak.final_crc.* counters and gated on here.
-#   detect   — silent-corruption drill: a halo-message bit flip must be
-#              caught by the per-message CRC, an injected LDM allocation
+#   detect   — silent-corruption drill on 2 ranks (a one-rank model's halo
+#              links are local copies with no message to corrupt): a
+#              halo-message bit flip must be caught by the per-message CRC, an injected LDM allocation
 #              inflation must surface as a typed overflow, and the recovered
 #              run must match the fault-free twin bit for bit.
 #   growback — the full elasticity loop on the weighted decomposition:

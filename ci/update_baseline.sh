@@ -4,7 +4,7 @@
 # result.
 #
 # Besides the Google Benchmark timings, the baseline context records the
-# halo.persistent.* / halo_smoke.subcycle_* gauges from a persistent-mode
+# halo.group.* / halo_smoke.subcycle_* gauges from a batched-mode
 # halo_batching_smoke run, so the message-count regime the timings were taken
 # under is visible next to them (informational; the hard gate on those counts
 # lives in ci/check_halo_batching.py).
@@ -26,7 +26,7 @@ LICOMK_TELEMETRY=1 LICOMK_TELEMETRY_OUT="$TMP_DIR/bench" \
   --benchmark_min_time=0.05 \
   --benchmark_out=bench/baseline_smoke.json \
   --benchmark_out_format=json
-"$BUILD_DIR/examples/halo_batching_smoke" persistent "$TMP_DIR" > /dev/null
+"$BUILD_DIR/examples/halo_batching_smoke" batched "$TMP_DIR" > /dev/null
 "$BUILD_DIR/examples/farm_run" \
   --out "$TMP_DIR/farm_metrics.json" --dir "$TMP_DIR/farm_ckpt" > /dev/null
 "$BUILD_DIR/examples/soak_run" --scenario growback --steps 24 \
@@ -42,7 +42,7 @@ with open(base_path) as f:
 with open(metrics_path) as f:
     gauges = json.load(f).get("gauges", {})
 keep = {k: v for k, v in sorted(gauges.items())
-        if k.startswith("halo.persistent.") or k.startswith("halo_smoke.subcycle")}
+        if k.startswith("halo.group.") or k.startswith("halo_smoke.subcycle")}
 base.setdefault("context", {})["licomk_halo_gauges"] = keep
 print(f"recorded {len(keep)} halo gauges in baseline context")
 

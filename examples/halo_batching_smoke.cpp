@@ -1,13 +1,11 @@
 // halo_batching_smoke — the CI driver behind ci/check_halo_batching.py.
 //
-// Runs the same small 4-rank model in one of three communication modes, with
+// Runs the same small 4-rank model in one of two communication modes, with
 // per-message CRC verification ON, and writes telemetry metrics.json carrying
 // the halo message accounting:
 //
-//   batched     aggregated multi-field exchanges (ExchangeGroup, PR-5 path)
-//   perfield    the per-field ablation baseline
-//   persistent  batched + the persistent nonblocking subcycle engine
-//               (halo::PersistentGroup on the barotropic eta/ubar/vbar)
+//   batched   planned multi-field exchanges (the model-owned ExchangeGroups)
+//   perfield  the per-field ablation baseline (the paper's Fig. 8 arm)
 //
 // Gauges (all-rank totals):
 //   halo_smoke.messages           point-to-point messages actually sent
@@ -17,19 +15,19 @@
 //   halo_smoke.skipped            exchanges elided as redundant
 //   halo_smoke.subcycle_messages  messages attributed to the barotropic subcycle
 //   halo_smoke.subcycle_equiv     per-field-equivalent subcycle work
-//   halo.persistent.plan_builds / plan_hits / self_copies /
-//   partial_exchanges             persistent-plan cache + self-copy accounting
+//   halo.group.plan_builds / plan_hits / self_copies /
+//   partial_exchanges             plan-cache + self-copy accounting
 //   counters["resilience.halo_crc_failures"]  must be 0 (clean links)
 // Labels:
 //   halo_smoke.state_crc          order-independent fingerprint of the final
 //                                 prognostic interiors (XOR of per-rank CRC-64s)
-//                                 — equal across ALL modes or the run is wrong
+//                                 — equal across both modes or the run is wrong
 //
-// The CI gate asserts >= 3x message reduction batched vs per-field, >= 2x
-// additional SUBCYCLE message reduction persistent vs batched, identical
-// state CRCs, and zero CRC failures in every mode.
+// The CI gate (ci/check_halo_batching.py) asserts the batched run's message
+// reduction against the per-field run, a subcycle message ceiling, plan-cache
+// reuse, identical state CRCs, and zero CRC failures in both modes.
 //
-// Usage: halo_batching_smoke [mode=batched|perfield|persistent] [outdir=.] [steps=2]
+// Usage: halo_batching_smoke [mode=batched|perfield] [outdir=.] [steps=2]
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -85,9 +83,8 @@ int main(int argc, char** argv) {
   const std::string mode = argc > 1 ? argv[1] : "batched";
   const std::string outdir = argc > 2 ? argv[2] : ".";
   const int steps = argc > 3 ? std::atoi(argv[3]) : 2;
-  if (mode != "batched" && mode != "perfield" && mode != "persistent") {
-    std::fprintf(stderr,
-                 "usage: halo_batching_smoke [batched|perfield|persistent] [outdir] [steps]\n");
+  if (mode != "batched" && mode != "perfield") {
+    std::fprintf(stderr, "usage: halo_batching_smoke [batched|perfield] [outdir] [steps]\n");
     return 2;
   }
 
@@ -97,8 +94,7 @@ int main(int argc, char** argv) {
   telemetry::set_label("halo_smoke.mode", mode);
 
   core::ModelConfig cfg = core::ModelConfig::testing(8);
-  cfg.batch_halo_exchange = (mode != "perfield");
-  cfg.persistent_halo_exchange = (mode == "persistent");
+  cfg.batch_halo_exchange = (mode == "batched");
   cfg.verify_halo_crc = true;  // every message CRC-checked end to end
 
   constexpr int kRanks = 4;
@@ -125,14 +121,13 @@ int main(int argc, char** argv) {
     total.equiv_messages += hs.equiv_messages;
     total.batches += hs.batches;
     total.batched_fields += hs.batched_fields;
-    total.persistent_batches += hs.persistent_batches;
     total.self_copies += hs.self_copies;
     subcycle_msgs += model.subcycle_messages();
     subcycle_equiv += model.subcycle_equiv_messages();
-    if (model.subcycle_group() != nullptr) {
-      plan_builds += model.subcycle_group()->plan_builds();
-      plan_hits += model.subcycle_group()->plan_hits();
-      partials += model.subcycle_group()->partial_exchanges();
+    for (const halo::ExchangeGroup* g : model.halo_groups()) {
+      plan_builds += g->plan_builds();
+      plan_hits += g->plan_hits();
+      partials += g->partial_exchanges();
     }
     state_crc ^= crc;
   });
@@ -145,11 +140,10 @@ int main(int argc, char** argv) {
   telemetry::set_gauge("halo_smoke.bytes", static_cast<double>(total.bytes));
   telemetry::set_gauge("halo_smoke.subcycle_messages", static_cast<double>(subcycle_msgs));
   telemetry::set_gauge("halo_smoke.subcycle_equiv", static_cast<double>(subcycle_equiv));
-  telemetry::set_gauge("halo.persistent.batches", static_cast<double>(total.persistent_batches));
-  telemetry::set_gauge("halo.persistent.plan_builds", static_cast<double>(plan_builds));
-  telemetry::set_gauge("halo.persistent.plan_hits", static_cast<double>(plan_hits));
-  telemetry::set_gauge("halo.persistent.self_copies", static_cast<double>(total.self_copies));
-  telemetry::set_gauge("halo.persistent.partial_exchanges", static_cast<double>(partials));
+  telemetry::set_gauge("halo.group.plan_builds", static_cast<double>(plan_builds));
+  telemetry::set_gauge("halo.group.plan_hits", static_cast<double>(plan_hits));
+  telemetry::set_gauge("halo.group.self_copies", static_cast<double>(total.self_copies));
+  telemetry::set_gauge("halo.group.partial_exchanges", static_cast<double>(partials));
   {
     char hex[32];
     std::snprintf(hex, sizeof(hex), "%016llx", static_cast<unsigned long long>(state_crc));
@@ -171,10 +165,9 @@ int main(int argc, char** argv) {
   std::printf("  subcycle msgs  : %llu (equiv %llu)\n",
               static_cast<unsigned long long>(subcycle_msgs),
               static_cast<unsigned long long>(subcycle_equiv));
-  if (mode == "persistent") {
-    std::printf("  persistent     : %llu batches, plans %llu built / %llu hit, "
-                "%llu self-copies, %llu partial rounds\n",
-                static_cast<unsigned long long>(total.persistent_batches),
+  if (mode == "batched") {
+    std::printf("  groups         : plans %llu built / %llu hit, %llu self-copies, "
+                "%llu partial rounds\n",
                 static_cast<unsigned long long>(plan_builds),
                 static_cast<unsigned long long>(plan_hits),
                 static_cast<unsigned long long>(total.self_copies),

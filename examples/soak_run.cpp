@@ -2,19 +2,21 @@
 //
 // Four drills, selected with --scenario (ci/resilience_soak.sh runs all):
 //
-// default — the ISSUE-2 drill: derive a fault schedule from a fixed seed with
-// three TRANSIENT faults — one communication message drop, one DMA transfer
-// error, one torn checkpoint — then let the run supervisor ride them out and
-// prove the recovered run is bit-for-bit identical to a fault-free twin.
-// Placement is deterministic by construction:
-//   * comm drop — a fault-free probe run first records the cumulative
-//     communicator-message count at every step boundary, so the drop lands
+// default — the transient-fault drill on 2 ranks: derive a fault schedule
+// from a fixed seed with three TRANSIENT faults — one communication message
+// drop, one DMA transfer error, one torn checkpoint — then let the run
+// supervisor ride them out and prove the recovered run is bit-for-bit
+// identical to a fault-free twin. Two ranks, because a one-rank model's halo
+// links are local copies that never reach the communicator. Placement is
+// deterministic by construction:
+//   * comm drop — a fault-free probe run first records rank 0's cumulative
+//     delivery count at every step boundary, so the drop lands
 //     (seed-jittered) in the middle of step 6 of attempt 1: after the
 //     generation-1 checkpoint, so recovery restores rather than cold-starts.
 //   * torn checkpoint — the restart.write hook is keyed on the generation
 //     id, so "generation 2" (written at step 8 of attempt 2) is targeted
 //     directly; the file is silently truncated after its atomic rename.
-//   * DMA error — the rank body stages a slab of the temperature field
+//   * DMA error — rank 0's body stages a slab of the temperature field
 //     through a swsim::DmaEngine before every step (the LDM staging a real
 //     CPE pipeline performs), so DMA op N == "start of the Nth executed
 //     step" across attempts. The fault is placed at the start of a
@@ -33,12 +35,12 @@
 // redistributed state and finish. The final state's per-field global CRCs
 // are exported to metrics.json as counters "soak.final_crc.<field>".
 //
-// detect — the silent-corruption drill on 1 rank with halo CRC verification
+// detect — the silent-corruption drill on 2 ranks with halo CRC verification
 // on (model.verify_halo_crc): a comm.payload bit-flip corrupts the very
 // first halo message (detected as CommError by the receiver's CRC check,
 // counted in resilience.halo_crc_failures), and an ldm inflate blows up a
-// CPE's LDM arena mid-run (typed LdmOverflowError through athread_spawn,
-// counted in resilience.ldm_overflows). Both must be detected loudly,
+// CPE's LDM arena mid-run (typed LdmOverflowError through rank 0's
+// athread_spawn, counted in resilience.ldm_overflows). Both must be detected loudly,
 // recovered by the supervisor, and the final state must be bit-identical to
 // the fault-free twin — never a hang, never silent corruption.
 //
@@ -85,23 +87,35 @@ lc::ModelConfig soak_config() {
   return cfg;
 }
 
-/// Fault-free probe: reference diagnostics plus cumulative comm op counts.
+/// Ranks of the default and detect drills (the smallest count whose halo
+/// links cross the communicator).
+constexpr int kSoakRanks = 2;
+
+/// Fault-free probe: reference diagnostics plus rank 0's cumulative
+/// delivery counts. Armed with a never-firing sentinel so the injector's
+/// per-rank op counters tick exactly as they will in the real run.
 struct Probe {
-  std::vector<std::uint64_t> comm_after_step;  ///< world messages after step s (1-based s)
+  std::vector<std::uint64_t> comm_after_step;  ///< rank-0 deliveries after step s (1-based s)
   lc::GlobalDiagnostics reference{};
 };
 
 Probe probe_run(const lc::ModelConfig& cfg, long long target_steps) {
   Probe p;
+  lr::FaultSchedule sentinel;
+  sentinel.add({lr::FaultSite::CommDeliver, lr::FaultKind::CrashRank, 0,
+                std::numeric_limits<std::uint64_t>::max(), 0.0});
+  lr::arm(sentinel);
   auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
-  lco::World world(1);
-  auto c = world.communicator(0);
-  lc::LicomModel m(cfg, global, c);
-  for (long long s = 1; s <= target_steps; ++s) {
-    m.step();
-    p.comm_after_step.push_back(world.total_messages());
-  }
-  p.reference = m.diagnostics();
+  lco::Runtime::run(kSoakRanks, [&](lco::Communicator& c) {
+    lc::LicomModel m(cfg, global, c);
+    for (long long s = 1; s <= target_steps; ++s) {
+      m.step();
+      if (c.rank() == 0) p.comm_after_step.push_back(lr::op_count(lr::FaultSite::CommDeliver, 0));
+    }
+    auto d = m.diagnostics();
+    if (c.rank() == 0) p.reference = d;
+  });
+  lr::disarm();
   return p;
 }
 
@@ -152,14 +166,14 @@ int run_default(std::uint64_t seed, long long target_steps, const std::string& o
               static_cast<unsigned long long>(seed));
   const Probe probe = probe_run(cfg, target_steps);
 
-  // The rank body below stages one DMA slab before every step, so the DMA op
+  // Rank 0's body below stages one DMA slab before every step, so the DMA op
   // counter equals "executed steps so far + 1" at each step start. Attempt 1
   // executes drop_step starts before dying; attempt 2 resumes at cadence+1.
   lr::SplitMix64 rng(seed);
   const long long dma_step = 9 + static_cast<long long>(rng.range(0, 2));  // model step 9..11
   const std::uint64_t dma_op = static_cast<std::uint64_t>(drop_step + (dma_step - cadence));
   lr::FaultSchedule schedule;
-  schedule.add({lr::FaultSite::CommDeliver, lr::FaultKind::DropMessage, -1,
+  schedule.add({lr::FaultSite::CommDeliver, lr::FaultKind::DropMessage, 0,
                 mid_step_op(probe.comm_after_step, drop_step, rng), 0.0});
   schedule.add({lr::FaultSite::RestartWrite, lr::FaultKind::TornWrite, -1, 2, 0.5});
   schedule.add({lr::FaultSite::DmaTransfer, lr::FaultKind::DmaError, -1, dma_op, 0.0});
@@ -169,7 +183,7 @@ int run_default(std::uint64_t seed, long long target_steps, const std::string& o
 
   std::filesystem::remove_all(ckpt_dir);
   lr::SupervisorOptions opts;
-  opts.nranks = 1;
+  opts.nranks = kSoakRanks;
   opts.checkpoint_dir = ckpt_dir;
   opts.checkpoint_every_steps = cadence;
   opts.keep_generations = 8;
@@ -179,13 +193,18 @@ int run_default(std::uint64_t seed, long long target_steps, const std::string& o
   std::vector<double> ldm_slab(256, 0.0);
   const auto report = supervisor.run(cfg, [&](lc::LicomModel& m) {
     licomk::swsim::DmaEngine dma;
+    const bool stager = m.communicator().rank() == 0;
     while (m.steps_taken() < target_steps) {
       // Stage a slab of the temperature field into "LDM" the way the CPE
       // pipeline would; this is the hook site for the injected DMA error.
-      dma.get(ldm_slab.data(), m.state().t_cur.view().data(), ldm_slab.size() * sizeof(double));
+      if (stager) {
+        dma.get(ldm_slab.data(), m.state().t_cur.view().data(),
+                ldm_slab.size() * sizeof(double));
+      }
       m.step();
     }
-    healed = m.diagnostics();
+    auto d = m.diagnostics();
+    if (stager) healed = d;
   });
   lr::disarm();
 
@@ -520,7 +539,7 @@ int run_detect(std::uint64_t seed, long long target_steps, const std::string& ou
 
   std::filesystem::remove_all(ckpt_dir);
   lr::SupervisorOptions opts;
-  opts.nranks = 1;
+  opts.nranks = kSoakRanks;
   opts.checkpoint_dir = ckpt_dir;
   opts.checkpoint_every_steps = cadence;
   opts.keep_generations = 8;
@@ -528,14 +547,20 @@ int run_detect(std::uint64_t seed, long long target_steps, const std::string& ou
   lr::Supervisor supervisor(opts);
   lc::GlobalDiagnostics healed{};
   const auto report = supervisor.run(cfg, [&](lc::LicomModel& m) {
+    const bool stager = m.communicator().rank() == 0;
     while (m.steps_taken() < target_steps) {
       // Stage scratch through every CPE's LDM the way a kernel launch would;
-      // this is the hook site for the injected allocation inflation.
-      sw::athread_spawn(&ldm_stage_kernel, nullptr);
-      sw::athread_join();
+      // this is the hook site for the injected allocation inflation. One
+      // rank drives the simulated core group, so its op counters stay
+      // "executed steps + 1".
+      if (stager) {
+        sw::athread_spawn(&ldm_stage_kernel, nullptr);
+        sw::athread_join();
+      }
       m.step();
     }
-    healed = m.diagnostics();
+    auto d = m.diagnostics();
+    if (stager) healed = d;
   });
   lr::disarm();
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "halo/exchange_group.hpp"
 #include "kxx/kxx.hpp"
 
 namespace licomk::core {
@@ -551,7 +550,7 @@ TracerAdvScratch::TracerAdvScratch(const LocalGrid& g)
 
 void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D& qa,
                         const halo::BlockField3D& qb, AdvectionWorkspace& ws,
-                        TracerAdvScratch& scratch, halo::HaloExchanger& exchanger,
+                        TracerAdvScratch& scratch, halo::ExchangeGroup& q_td_group,
                         halo::BlockField3D& qa_out, halo::BlockField3D& qb_out,
                         bool fuse_low_order) {
   adv::Geo geo = make_geo(g);
@@ -582,12 +581,9 @@ void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D&
   ws.q_td.mark_dirty();
   scratch.q_td.mark_dirty();
 
-  // One batched exchange for both provisional fields — the busiest per-field
-  // traffic of the step collapses to one message per neighbor per phase.
-  halo::ExchangeGroup group(exchanger);
-  group.add(ws.q_td);
-  group.add(scratch.q_td);
-  group.begin();
+  // One grouped exchange for both provisional fields — the busiest per-field
+  // traffic of the step collapses to one message per peer per phase.
+  q_td_group.begin();
 
   adv::AntiDiffEast ade_a{geo, cref(qa), cref(ws.flux_e), mref(ws.a_e)};
   kxx::parallel_for("adv_anti_east", kxx::MDRangePolicy3({0, 1, 0}, {g.nz(), nyt, nxt - 1}),
@@ -607,7 +603,7 @@ void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D&
   adv::AntiDiffTop adt_b{geo, cref(qb), cref(ws.w_top), mref(scratch.a_t)};
   kxx::parallel_for("adv_anti_top", cells3(g, 1), adt_b);
 
-  group.finish();
+  q_td_group.finish();
 
   adv::RFactors rf_a{geo,          cref(qa),        cref(ws.q_td), cref(ws.a_e), cref(ws.a_n),
                      cref(ws.a_t), mref(ws.r_plus), mref(ws.r_minus), dt};

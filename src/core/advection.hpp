@@ -15,7 +15,7 @@
 
 #include "core/field_ref.hpp"
 #include "core/local_grid.hpp"
-#include "halo/halo_exchange.hpp"
+#include "halo/exchange_group.hpp"
 
 namespace licomk::core {
 
@@ -65,8 +65,10 @@ struct TracerAdvScratch {
 };
 
 /// Advect two tracers through the same fluxes, batching the two provisional
-/// q_td halo updates into ONE aggregated exchange (halo::ExchangeGroup) that
-/// overlaps both tracers' anti-diffusive flux kernels. Bit-identical to two
+/// q_td halo updates into ONE grouped exchange that overlaps both tracers'
+/// anti-diffusive flux kernels. `q_td_group` must enroll exactly
+/// (ws.q_td, scratch.q_td), symmetric, with the default 3-D method; the
+/// caller owns it so its plan is reused across steps. Bit-identical to two
 /// sequential advect_tracer_fct calls (asserted in test_advection); tracer
 /// `qa` uses the workspace scratch, `qb` the TracerAdvScratch.
 ///
@@ -77,7 +79,7 @@ struct TracerAdvScratch {
 /// AthreadSim backend (ci/check_ldm_staging.py gates on the unfused labels).
 void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D& qa,
                         const halo::BlockField3D& qb, AdvectionWorkspace& ws,
-                        TracerAdvScratch& scratch, halo::HaloExchanger& exchanger,
+                        TracerAdvScratch& scratch, halo::ExchangeGroup& q_td_group,
                         halo::BlockField3D& qa_out, halo::BlockField3D& qb_out,
                         bool fuse_low_order = false);
 

@@ -25,6 +25,12 @@ namespace {
 /// disabled; step wall time for sypd() is accumulated separately in step().
 using PhaseScope = telemetry::ScopedSpan;
 
+halo::Halo3DMethod halo_method(const ModelConfig& cfg) {
+  return cfg.halo_strategy == HaloStrategy::TransposeVerticalMajor
+             ? halo::Halo3DMethod::TransposeVerticalMajor
+             : halo::Halo3DMethod::HorizontalMajor;
+}
+
 /// Sea-point census of one bathymetry, in the Fig. 4 convention (a work item
 /// is a horizontal cell with kmt > 1): per-axis marginals feed the weighted
 /// quantile split, the 2-D prefix sum prices any block in O(1) for the
@@ -165,21 +171,12 @@ LicomModel::LicomModel(const ModelConfig& cfg, std::shared_ptr<const grid::Globa
     state_->t_cur.mark_dirty();
     state_->t_old.mark_dirty();
   }
-  if (cfg_.persistent_halo_exchange) {
-    // Enroll the barotropic subcycle's prognostic 2-D fields once: the
-    // persistent plan (neighbor geometry, fused packing boxes, registered
-    // buffers) is built on first use and reused by every substep of every
-    // step. The group re-resolves field base pointers at each exchange, so
-    // the leapfrog buffer rotation is transparent to it.
-    subcycle_group_ = std::make_unique<halo::PersistentGroup>(*exchanger_);
-    subcycle_group_->add(state_->eta_cur, halo::FoldSign::Symmetric);
-    subcycle_group_->add(state_->ubar_cur, halo::FoldSign::Antisymmetric);
-    subcycle_group_->add(state_->vbar_cur, halo::FoldSign::Antisymmetric);
-  }
   mixer_ = std::make_unique<VerticalMixer>(*lgrid_, comm_, cfg_.vmix, cfg_.canuto_load_balance);
   polar_ = std::make_unique<PolarFilter>(*lgrid_);
   adv_ws_ = std::make_unique<AdvectionWorkspace>(*lgrid_);
   adv_scratch_ = std::make_unique<TracerAdvScratch>(*lgrid_);
+  groups_ = std::make_unique<HaloGroups>(*exchanger_, *state_, *adv_ws_, *adv_scratch_,
+                                         halo_method(cfg_));
   ubar_avg_ = halo::BlockField2D("ubar_avg", lgrid_->extent());
   vbar_avg_ = halo::BlockField2D("vbar_avg", lgrid_->extent());
   gu_bar_ = halo::BlockField2D("gu_bar", lgrid_->extent());
@@ -187,10 +184,37 @@ LicomModel::LicomModel(const ModelConfig& cfg, std::shared_ptr<const grid::Globa
   initial_exchange();
 }
 
+LicomModel::HaloGroups::HaloGroups(halo::HaloExchanger& ex, OceanState& st,
+                                   AdvectionWorkspace& ws, TracerAdvScratch& scratch,
+                                   halo::Halo3DMethod method)
+    : halo_in(ex), kappa(ex, /*tag_block=*/1), subcycle(ex), bclinc(ex), tracer(ex), q_td(ex) {
+  const auto sym = halo::FoldSign::Symmetric;
+  const auto anti = halo::FoldSign::Antisymmetric;
+  halo_in.add(st.t_cur, sym, method);
+  halo_in.add(st.s_cur, sym, method);
+  halo_in.add(st.u_cur, anti, method);
+  halo_in.add(st.v_cur, anti, method);
+  halo_in.add(st.eta_cur, sym);
+  kappa.add(st.kappa_m, sym, method);
+  kappa.add(st.kappa_t, sym, method);
+  subcycle.add(st.eta_cur, sym);
+  subcycle.add(st.ubar_cur, anti);
+  subcycle.add(st.vbar_cur, anti);
+  bclinc.add(st.u_cur, anti, method);
+  bclinc.add(st.v_cur, anti, method);
+  tracer.add(st.t_cur, sym, method);
+  tracer.add(st.s_cur, sym, method);
+  q_td.add(ws.q_td);
+  q_td.add(scratch.q_td);
+}
+
+std::vector<const halo::ExchangeGroup*> LicomModel::halo_groups() const {
+  return {&groups_->halo_in, &groups_->kappa,  &groups_->subcycle,
+          &groups_->bclinc,  &groups_->tracer, &groups_->q_td};
+}
+
 void LicomModel::initial_exchange() {
-  const auto method = cfg_.halo_strategy == HaloStrategy::TransposeVerticalMajor
-                          ? halo::Halo3DMethod::TransposeVerticalMajor
-                          : halo::Halo3DMethod::HorizontalMajor;
+  const auto method = halo_method(cfg_);
   halo::ExchangeGroup group(*exchanger_);
   group.add(state_->t_cur, halo::FoldSign::Symmetric, method);
   group.add(state_->s_cur, halo::FoldSign::Symmetric, method);
@@ -208,9 +232,6 @@ void LicomModel::set_checkpoint_cadence(long long every_steps, StepHook hook) {
 }
 
 void LicomModel::step() {
-  const auto method = cfg_.halo_strategy == HaloStrategy::TransposeVerticalMajor
-                          ? halo::Halo3DMethod::TransposeVerticalMajor
-                          : halo::Halo3DMethod::HorizontalMajor;
   const double day = day_of_year();
   const auto wall_start = std::chrono::steady_clock::now();
   PhaseScope step_span("step", "phase");
@@ -219,14 +240,8 @@ void LicomModel::step() {
     PhaseScope t("halo_in", "phase");
     // With redundant-exchange elimination these are no-ops except on the
     // first step (the end-of-step exchanges keep versions current). One
-    // aggregated message per neighbor covers every dirty prognostic field.
-    halo::ExchangeGroup group(*exchanger_);
-    group.add(state_->t_cur, halo::FoldSign::Symmetric, method);
-    group.add(state_->s_cur, halo::FoldSign::Symmetric, method);
-    group.add(state_->u_cur, halo::FoldSign::Antisymmetric, method);
-    group.add(state_->v_cur, halo::FoldSign::Antisymmetric, method);
-    group.add(state_->eta_cur, halo::FoldSign::Symmetric);
-    group.exchange();
+    // fused message per peer covers every dirty prognostic field.
+    groups_->halo_in.exchange();
   }
 
   // Fused + packed dynamics chains (DESIGN.md §12): bit-identical to the
@@ -250,14 +265,10 @@ void LicomModel::step() {
   // kappa batch is posted right after the mixer fills the fields and only
   // drained once the tendencies (which never read kappa ghosts) are done.
   // tag_block 1 keeps its messages distinct from any step-phase batch.
-  halo::ExchangeGroup kappa_group(*exchanger_, /*tag_block=*/1);
-  kappa_group.add(state_->kappa_m, halo::FoldSign::Symmetric, method);
-  kappa_group.add(state_->kappa_t, halo::FoldSign::Symmetric, method);
-
   {
     PhaseScope t("vmix", "phase");
     mixer_->compute(*state_);
-    kappa_group.begin();
+    groups_->kappa.begin();
   }
 
   {
@@ -271,15 +282,15 @@ void LicomModel::step() {
       vertical_mean(*lgrid_, state_->fu_tend, gu_bar_);
       vertical_mean(*lgrid_, state_->fv_tend, gv_bar_);
     }
-    kappa_group.finish();
+    groups_->kappa.finish();
   }
 
   {
     PhaseScope t("barotr", "phase");
     const std::uint64_t msgs0 = exchanger_->stats().messages;
     const std::uint64_t equiv0 = exchanger_->stats().equiv_messages;
-    run_barotropic(*lgrid_, cfg_, *state_, *exchanger_, *polar_, gu_bar_, gv_bar_, ubar_avg_,
-                   vbar_avg_, subcycle_group_.get());
+    run_barotropic(*lgrid_, cfg_, *state_, *polar_, gu_bar_, gv_bar_, ubar_avg_, vbar_avg_,
+                   groups_->subcycle);
     subcycle_msgs_ += exchanger_->stats().messages - msgs0;
     subcycle_equiv_ += exchanger_->stats().equiv_messages - equiv0;
   }
@@ -288,27 +299,19 @@ void LicomModel::step() {
     PhaseScope t("bclinc", "phase");
     baroclinic_update(*lgrid_, cfg_, *state_, ubar_avg_, vbar_avg_);
     state_->rotate_velocity();
-    halo::ExchangeGroup group(*exchanger_);
-    group.add(state_->u_cur, halo::FoldSign::Antisymmetric, method);
-    group.add(state_->v_cur, halo::FoldSign::Antisymmetric, method);
-    group.exchange();
-    polar_->apply({FilteredField(state_->u_cur, halo::FoldSign::Antisymmetric, false, method),
-                   FilteredField(state_->v_cur, halo::FoldSign::Antisymmetric, false, method)},
-                  *exchanger_);
+    groups_->bclinc.exchange();
+    polar_->apply({FilteredField(state_->u_cur, false), FilteredField(state_->v_cur, false)},
+                  groups_->bclinc);
   }
 
   {
     PhaseScope t("tracer", "phase");
-    tracer_step(*lgrid_, cfg_, *state_, *adv_ws_, *adv_scratch_, *exchanger_, day);
+    tracer_step(*lgrid_, cfg_, *state_, *adv_ws_, *adv_scratch_, groups_->q_td, day);
     state_->rotate_tracers();
-    halo::ExchangeGroup group(*exchanger_);
-    group.add(state_->t_cur, halo::FoldSign::Symmetric, method);
-    group.add(state_->s_cur, halo::FoldSign::Symmetric, method);
-    group.exchange();
-    polar_->apply(
-        {FilteredField(state_->t_cur, halo::FoldSign::Symmetric, /*conservative=*/true, method),
-         FilteredField(state_->s_cur, halo::FoldSign::Symmetric, /*conservative=*/true, method)},
-        *exchanger_);
+    groups_->tracer.exchange();
+    polar_->apply({FilteredField(state_->t_cur, /*conservative=*/true),
+                   FilteredField(state_->s_cur, /*conservative=*/true)},
+                  groups_->tracer);
   }
 
   double prev_day = std::floor(sim_seconds_ / 86400.0);
@@ -378,15 +381,16 @@ void LicomModel::run_days(double days) {
     gauge("kxx.pack.lanes_masked", static_cast<double>(kxx::pack_lanes_masked()));
     gauge("kxx.fusion.views_elided_bytes",
           static_cast<double>(kxx::fusion_views_elided_bytes()));
-    if (subcycle_group_ != nullptr) {
-      gauge("halo.persistent.plan_builds",
-            static_cast<double>(subcycle_group_->plan_builds()));
-      gauge("halo.persistent.plan_hits", static_cast<double>(subcycle_group_->plan_hits()));
-      gauge("halo.persistent.self_copies",
-            static_cast<double>(subcycle_group_->self_copies()));
-      gauge("halo.persistent.partial_exchanges",
-            static_cast<double>(subcycle_group_->partial_exchanges()));
+    std::uint64_t builds = 0, hits = 0, partials = 0;
+    for (const halo::ExchangeGroup* g : halo_groups()) {
+      builds += g->plan_builds();
+      hits += g->plan_hits();
+      partials += g->partial_exchanges();
     }
+    gauge("halo.group.plan_builds", static_cast<double>(builds));
+    gauge("halo.group.plan_hits", static_cast<double>(hits));
+    gauge("halo.group.self_copies", static_cast<double>(hs.self_copies));
+    gauge("halo.group.partial_exchanges", static_cast<double>(partials));
   }
 }
 

@@ -21,8 +21,8 @@
 #include "core/polar_filter.hpp"
 #include "core/state.hpp"
 #include "core/vmix.hpp"
+#include "halo/exchange_group.hpp"
 #include "halo/halo_exchange.hpp"
-#include "halo/persistent_group.hpp"
 
 namespace licomk::core {
 
@@ -90,14 +90,14 @@ class LicomModel {
   /// measured by snapshotting the exchanger's counters around run_barotropic.
   /// This is the numerator/denominator pair behind the CI gate in
   /// ci/check_halo_batching.py: comparing `subcycle_messages()` between a
-  /// persistent and a batched run yields the subcycle message-reduction
+  /// grouped and a per-field run yields the subcycle message-reduction
   /// ratio directly, with no estimate involved.
   std::uint64_t subcycle_messages() const { return subcycle_msgs_; }
   std::uint64_t subcycle_equiv_messages() const { return subcycle_equiv_; }
 
-  /// The persistent subcycle group (η/ū/v̄), or nullptr when
-  /// cfg.persistent_halo_exchange is off.
-  const halo::PersistentGroup* subcycle_group() const { return subcycle_group_.get(); }
+  /// The model-owned halo groups (one per hot call site of step()), for
+  /// plan-cache and self-copy accounting.
+  std::vector<const halo::ExchangeGroup*> halo_groups() const;
 
   const ModelConfig& config() const { return cfg_; }
   const LocalGrid& local_grid() const { return *lgrid_; }
@@ -114,12 +114,27 @@ class LicomModel {
 
   void initial_exchange();
 
+  /// One planned halo group per hot call site of step(), enrolled once at
+  /// construction so every plan is built once and reused for the run. Only
+  /// the κ group, whose round overlaps the readyc kernels, needs its own
+  /// tag block; every other round completes before the next one begins.
+  struct HaloGroups {
+    HaloGroups(halo::HaloExchanger& ex, OceanState& st, AdvectionWorkspace& ws,
+               TracerAdvScratch& scratch, halo::Halo3DMethod method);
+    halo::ExchangeGroup halo_in;   ///< t, s, u, v, η at the top of the step
+    halo::ExchangeGroup kappa;     ///< κ_m, κ_t (tag block 1)
+    halo::ExchangeGroup subcycle;  ///< η, ū, v̄ every barotropic substep
+    halo::ExchangeGroup bclinc;    ///< u, v after the baroclinic update
+    halo::ExchangeGroup tracer;    ///< t, s after the tracer step
+    halo::ExchangeGroup q_td;      ///< the advection's provisional T/S pair
+  };
+
   /// World owned by the single-rank convenience constructor. Declared FIRST
   /// so it outlives comm_ and every comm-holding subsystem below. Each model
-  /// instance gets its OWN world: even a 1-rank decomposition sends
-  /// self-messages (tripolar fold, periodic wrap), so a world shared between
-  /// concurrent instances would FIFO-match one model's payloads into
-  /// another. Null for models handed an external communicator.
+  /// instance gets its OWN world: a 1-rank decomposition can still send
+  /// self-messages (the per-field ablation's fold and periodic wrap), so a
+  /// world shared between concurrent instances would FIFO-match one model's
+  /// payloads into another. Null for models handed an external communicator.
   std::unique_ptr<comm::World> owned_world_;
   ModelConfig cfg_;
   std::shared_ptr<const grid::GlobalGrid> global_;
@@ -128,14 +143,13 @@ class LicomModel {
   std::unique_ptr<LocalGrid> lgrid_;
   std::unique_ptr<halo::HaloExchanger> exchanger_;
   std::unique_ptr<OceanState> state_;
-  /// Persistent halo engine for the subcycle's η/ū/v̄ (declared after
-  /// exchanger_/state_: it holds references into both, so it must be
-  /// destroyed first). Null when persistent_halo_exchange is off.
-  std::unique_ptr<halo::PersistentGroup> subcycle_group_;
   std::unique_ptr<VerticalMixer> mixer_;
   std::unique_ptr<PolarFilter> polar_;
   std::unique_ptr<AdvectionWorkspace> adv_ws_;
   std::unique_ptr<TracerAdvScratch> adv_scratch_;
+  /// Declared after exchanger_, state_ and the advection scratch: the groups
+  /// hold references into all of them, so they must be destroyed first.
+  std::unique_ptr<HaloGroups> groups_;
   halo::BlockField2D ubar_avg_, vbar_avg_, gu_bar_, gv_bar_;
   std::vector<double> daily_sst_;
   std::vector<double> daily_eta_;

@@ -21,6 +21,12 @@ enum class HMixScheme { Laplacian, Biharmonic };
 /// 3-D halo update strategy (paper Fig. 5); exposed for ablation benches.
 enum class HaloStrategy { HorizontalMajor, TransposeVerticalMajor };
 
+/// Halo tag blocks one LicomModel uses: block 0 for the per-step groups,
+/// whose rounds never overlap, and block 1 for the κ group, whose round spans
+/// the readyc kernels. Instances that share a World need halo_tag_base values
+/// at least this far apart.
+inline constexpr int kHaloTagBlocks = 2;
+
 struct ModelConfig {
   grid::GridSpec grid = grid::spec_coarse100km();
   unsigned bathymetry_seed = 42;
@@ -47,18 +53,11 @@ struct ModelConfig {
   // --- numerics/engineering ---
   HaloStrategy halo_strategy = HaloStrategy::TransposeVerticalMajor;
   bool eliminate_redundant_halo = true;
-  /// Aggregate multi-field halo exchanges into one message per neighbor per
-  /// phase (halo::ExchangeGroup, §V-D message-count reduction). Bit-identical
-  /// to per-field exchanges; off = the per-field ablation baseline.
+  /// Aggregate multi-field halo exchanges into one fused message per peer
+  /// per phase through planned halo::ExchangeGroups (§V-D message-count
+  /// reduction; peer-is-self links become local copies). Bit-identical to
+  /// per-field exchanges; off = the per-field arm of the paper's Fig. 8.
   bool batch_halo_exchange = true;
-  /// Drive the barotropic subcycle's η/ū/v̄ exchanges through the persistent
-  /// nonblocking engine (halo::PersistentGroup): geometry, packing plans and
-  /// pre-registered buffers are resolved once and reused by every subcycle
-  /// iteration, with per-peer message fusion and self-copy elimination.
-  /// Bit-identical to the batched path; off = the PR 5 ExchangeGroup
-  /// ablation baseline. Requires batch_halo_exchange (with batching off the
-  /// persistent group degrades to per-field exchanges anyway).
-  bool persistent_halo_exchange = true;
   /// Append a CRC-64 to every halo message and verify it on unpack, so
   /// in-flight corruption (bit flips on the network) surfaces as a CommError
   /// the run supervisor can recover from, instead of silently polluting the
@@ -103,6 +102,7 @@ struct ModelConfig {
   // --- multi-tenant isolation (set by the farm; standalone runs keep 0/"") ---
   /// Base added to every halo group tag_block of this instance, so concurrent
   /// model instances own disjoint tag ranges (see HaloExchanger::set_tag_base).
+  /// The instance uses blocks [halo_tag_base, halo_tag_base + kHaloTagBlocks).
   int halo_tag_base = 0;
   /// Prefix for the gauges run_days() publishes ("model.sypd" →
   /// "<ns>model.sypd"); the farm sets "farm.tenant.<id>." so per-tenant

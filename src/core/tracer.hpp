@@ -12,17 +12,18 @@
 #include "core/advection.hpp"
 #include "core/model_config.hpp"
 #include "core/state.hpp"
-#include "halo/halo_exchange.hpp"
+#include "halo/exchange_group.hpp"
 
 namespace licomk::core {
 
 /// Advance t_new/s_new from t_cur/s_cur over cfg.grid.dt_tracer. Performs the
 /// in-advection halo updates — temperature and salinity advect together
 /// through advect_tracer_pair, so their provisional-field exchanges travel
-/// as one aggregated message per neighbor; the new fields' halos are NOT
-/// updated (the model driver exchanges after rotation).
+/// through `q_td_group` (enrolling ws.q_td and scratch.q_td) as one fused
+/// message per peer; the new fields' halos are NOT updated (the model
+/// driver exchanges after rotation).
 void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
                  AdvectionWorkspace& ws, TracerAdvScratch& scratch,
-                 halo::HaloExchanger& exchanger, double day_of_year);
+                 halo::ExchangeGroup& q_td_group, double day_of_year);
 
 }  // namespace licomk::core

@@ -54,11 +54,12 @@ const char* to_string(TenantState s) {
 ForecastFarm::ForecastFarm(FarmOptions options) : options_(std::move(options)) {
   LICOMK_REQUIRE(options_.max_concurrent >= 1, "farm needs at least one worker slot");
   LICOMK_REQUIRE(!options_.checkpoint_root.empty(), "farm needs a checkpoint_root");
-  // The model enrolls tag blocks 0..2 (per-step, kappa, subcycle); anything
-  // narrower would let two tenants' live groups overlap — exactly the silent
-  // cross-talk the tag-claim registry exists to forbid.
-  LICOMK_REQUIRE(options_.tag_blocks_per_tenant >= 3,
-                 "tag_blocks_per_tenant must cover the model's tag blocks (>= 3)");
+  // Anything narrower than the model's own tag blocks would let two tenants'
+  // live groups overlap — exactly the silent cross-talk the tag-claim
+  // registry exists to forbid.
+  LICOMK_REQUIRE(options_.tag_blocks_per_tenant >= core::kHaloTagBlocks,
+                 "tag_blocks_per_tenant must cover the model's tag blocks (>= " +
+                     std::to_string(core::kHaloTagBlocks) + ")");
   LICOMK_REQUIRE(options_.fault_domain_base >= 0, "fault_domain_base must be >= 0");
   std::filesystem::create_directories(options_.checkpoint_root);
 }

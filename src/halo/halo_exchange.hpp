@@ -22,7 +22,8 @@
 //
 // For message aggregation across many fields, see ExchangeGroup
 // (exchange_group.hpp), which shares this class's pack/unpack/skip machinery
-// but sends one message per neighbor per phase for the whole batch.
+// but sends one fused message per peer per phase for the whole batch, and
+// turns peer-is-self links into local copies.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,6 @@
 namespace licomk::halo {
 
 class ExchangeGroup;
-class PersistentGroup;
 
 enum class Halo3DMethod {
   HorizontalMajor,         ///< native layout, k slowest in the message
@@ -58,8 +58,7 @@ struct HaloStats {
   std::uint64_t equiv_messages = 0;
   std::uint64_t batches = 0;         ///< aggregated group exchanges
   std::uint64_t batched_fields = 0;  ///< field exchanges carried by batches
-  std::uint64_t persistent_batches = 0;  ///< exchanges through PersistentGroup plans
-  /// Peer-is-self transfers a PersistentGroup turned into local copies
+  /// Peer-is-self transfers an ExchangeGroup turned into local copies
   /// instead of messages (px == 1 zonal wrap, self fold partners).
   std::uint64_t self_copies = 0;
 };
@@ -135,12 +134,13 @@ class HaloExchanger {
   void set_verify_crc(bool on) { verify_crc_ = on; }
   bool verify_crc() const { return verify_crc_; }
 
-  /// Tenant tag-space partitioning: every ExchangeGroup/PersistentGroup on
-  /// this exchanger computes its message tags from (tag_base + local
-  /// tag_block), so concurrent model instances can be given disjoint tag
-  /// ranges without touching any group call site. The forecast farm assigns
-  /// each tenant `tenant_index * blocks_per_tenant`; standalone runs keep 0.
-  /// Must be set before any group exchange on this exchanger.
+  /// Tenant tag-space partitioning: every ExchangeGroup on this exchanger
+  /// computes its message tags from (tag_base + local tag_block), so
+  /// concurrent model instances can be given disjoint tag ranges without
+  /// touching any group call site. The forecast farm assigns each tenant
+  /// `tenant_index * blocks_per_tenant`; standalone runs keep 0. Refused
+  /// while a group round is in flight; a group's cached plan picks up a new
+  /// base at its next round.
   void set_tag_base(int base);
   int tag_base() const { return tag_base_; }
 
@@ -157,7 +157,6 @@ class HaloExchanger {
 
  private:
   friend class ExchangeGroup;
-  friend class PersistentGroup;
 
   struct FoldPartner {
     int rank;      ///< partner block on the top row
@@ -193,8 +192,8 @@ class HaloExchanger {
                   long long dst_sj, long long dst_si, double scale, const double* in);
   void send_box(double* base, int nz, Halo3DMethod method, int dest, int tag, int j0, int nj,
                 int i0, int ni);
-  /// Nonblocking send + request tracking: every outbound halo message goes
-  /// through isend, with the Request parked in inflight_sends_ until the
+  /// Nonblocking send + request tracking: every outbound per-field message
+  /// goes through isend, with the Request parked in inflight_sends_ until the
   /// next drain point (the end of the phases that posted it). The comm
   /// layer's buffered sends complete at post time, so the drain is
   /// bookkeeping — but call sites are structured for genuinely asynchronous

@@ -1,5 +1,5 @@
 // halo_internal.hpp — constants and helpers shared between the per-field
-// exchanger (halo_exchange.cpp) and the batched ExchangeGroup
+// exchanger (halo_exchange.cpp) and the planned ExchangeGroup
 // (exchange_group.cpp). Internal to the halo library; not installed API.
 #pragma once
 
@@ -17,44 +17,24 @@ inline constexpr int kTagToWest = 12;
 inline constexpr int kTagToEast = 13;
 inline constexpr int kTagFold = 14;
 
-/// Aggregated (ExchangeGroup) message tags. Each group occupies a block of
-/// kTagBlockStride tags starting at kTagBatchBase so that two groups in
-/// flight at once (e.g. a long-lived kappa group overlapping a per-step
-/// group) never match each other's messages:
-///   tag = kTagBatchBase + kTagBlockStride * tag_block + direction
+/// Group (ExchangeGroup) message tags. All boxes to one peer in one phase
+/// travel in a single fused message, so a group needs one tag per phase
+/// (0 = meridional + fold, 1 = zonal); (source, tag) then identifies every
+/// in-flight message. Each tag block owns kTagBlockStride tags above
+/// kTagGroupBase, clear of the per-field tags:
+///   tag = kTagGroupBase + kTagBlockStride * tag_block + phase
 /// The effective tag_block is the group's local block plus the exchanger's
 /// tag_base (HaloExchanger::set_tag_base): the farm assigns each tenant a
 /// disjoint base so concurrent model instances' groups can never share a
 /// tag even if a transport ever multiplexed their traffic onto one World.
-/// Overlap between two groups whose exchanges are live at the same moment is
+/// Overlap between two groups whose rounds are live at the same moment is
 /// detected by the exchanger's in-flight tag-range registry and raised as a
 /// hard CommError (no silent cross-talk).
-inline constexpr int kTagBatchBase = 32;
-inline constexpr int kTagBlockStride = 8;
-enum BatchDir : int {
-  kBatchToSouth = 0,
-  kBatchToNorth = 1,
-  kBatchToWest = 2,
-  kBatchToEast = 3,
-  kBatchFold = 4,
-};
+inline constexpr int kTagGroupBase = 32;
+inline constexpr int kTagBlockStride = 2;
 
-inline int batch_tag(int tag_block, BatchDir dir) {
-  return kTagBatchBase + kTagBlockStride * tag_block + static_cast<int>(dir);
-}
-
-/// Persistent-group (PersistentGroup) message tags. All boxes to one peer in
-/// one phase travel in a single fused message, so a group only needs one tag
-/// per phase (0 = meridional + fold, 1 = zonal); (source, tag) then uniquely
-/// identifies every in-flight message. The base sits far above the batch
-/// space: with per-tenant tag_bases the batch tags grow as 32 + 8 * block, so
-/// the old base of 96 would have collided with batch block 8 — the persistent
-/// space now starts at 2^20, leaving room for ~131k effective batch blocks
-/// (tenants * groups) below it.
-inline constexpr int kTagPersistentBase = 1 << 20;
-
-inline int persistent_tag(int tag_block, int phase) {
-  return kTagPersistentBase + 4 * tag_block + phase;
+inline int group_tag(int tag_block, int phase) {
+  return kTagGroupBase + kTagBlockStride * tag_block + phase;
 }
 
 /// Message buffer strides for (nk, nj, ni) boxes under each method.

@@ -506,7 +506,10 @@ TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
 
     lh::BlockField3D t_ref("t_ref", g.extent(), g.nz());
     lh::BlockField3D s_ref("s_ref", g.extent(), g.nz());
-    lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, ex, t_ref, s_ref,
+    lh::ExchangeGroup q_td_group(ex);
+    q_td_group.add(ws.q_td);
+    q_td_group.add(scratch.q_td);
+    lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, q_td_group, t_ref, s_ref,
                            /*fuse_low_order=*/false);
 
     const size_t bytes = t_ref.view().size() * sizeof(double);
@@ -514,8 +517,8 @@ TEST(Advection, FusedLowOrderPairBitIdenticalToUnfused) {
       kxx::set_pack_size(pack);
       lh::BlockField3D t_fused("t_fused", g.extent(), g.nz());
       lh::BlockField3D s_fused("s_fused", g.extent(), g.nz());
-      lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, ex, t_fused, s_fused,
-                             /*fuse_low_order=*/true);
+      lc::advect_tracer_pair(g, 1440.0, s.t_cur, s.s_cur, ws, scratch, q_td_group, t_fused,
+                             s_fused, /*fuse_low_order=*/true);
       EXPECT_EQ(0, std::memcmp(t_fused.view().data(), t_ref.view().data(), bytes))
           << "pack=" << pack;
       EXPECT_EQ(0, std::memcmp(s_fused.view().data(), s_ref.view().data(), bytes))

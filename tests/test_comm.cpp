@@ -327,7 +327,7 @@ TEST(Comm, NegativeUserTagRejected) {
 
 // ---------------------------------------------------------------------------
 // Persistent requests (send_init/recv_init + start/wait): the comm substrate
-// under halo::PersistentGroup. The lifecycle contract is armed → started →
+// under halo::ExchangeGroup. The lifecycle contract is armed → started →
 // (wait) → armed again; misuse throws instead of deadlocking or corrupting.
 // ---------------------------------------------------------------------------
 
@@ -401,7 +401,7 @@ TEST(Comm, PersistentNullRequestOpsThrow) {
 TEST(Comm, PersistentSendBufferReusableAfterStart) {
   // Buffered-send semantics: start() copies the payload out, so the bound
   // buffer may be overwritten immediately — the receiver still sees the
-  // values present at start() time. This is what lets PersistentGroup run
+  // values present at start() time. This is what lets ExchangeGroup run
   // its pack buffers as a deferred ring without waiting on the consumer.
   lc::Runtime::run(2, [](lc::Communicator& c) {
     if (c.rank() == 0) {

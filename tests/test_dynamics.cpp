@@ -142,6 +142,13 @@ struct ModelFixture {
     global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
   }
 };
+
+/// Enroll the barotropic subcycle's fields the way run_barotropic expects.
+void enroll_subcycle(licomk::halo::ExchangeGroup& group, lc::OceanState& s) {
+  group.add(s.eta_cur, licomk::halo::FoldSign::Symmetric);
+  group.add(s.ubar_cur, licomk::halo::FoldSign::Antisymmetric);
+  group.add(s.vbar_cur, licomk::halo::FoldSign::Antisymmetric);
+}
 }  // namespace
 
 TEST(Dynamics, PressureIsTheHydrostaticIntegralOfDensity) {
@@ -291,8 +298,9 @@ TEST(Dynamics, BarotropicRestStateStaysAtRest) {
     licomk::halo::BlockField2D ua("ua", m.local_grid().extent());
     licomk::halo::BlockField2D va("va", m.local_grid().extent());
     lc::PolarFilter filter(m.local_grid());
-    lc::run_barotropic(m.local_grid(), fx.cfg, s, m.exchanger(), filter, zero_g, zero_g2, ua,
-                       va);
+    licomk::halo::ExchangeGroup group(m.exchanger());
+    enroll_subcycle(group, s);
+    lc::run_barotropic(m.local_grid(), fx.cfg, s, filter, zero_g, zero_g2, ua, va, group);
     // No forcing, flat eta, zero velocity: everything remains zero.
     for (int j = 0; j < m.local_grid().ny_total(); ++j)
       for (int i = 0; i < m.local_grid().nx_total(); ++i) {
@@ -335,7 +343,9 @@ TEST(Dynamics, BarotropicConservesVolume) {
       return v;
     };
     double before = eta_volume();
-    lc::run_barotropic(g, fx.cfg, s, m.exchanger(), filter, zg, zg2, ua, va);
+    licomk::halo::ExchangeGroup group(m.exchanger());
+    enroll_subcycle(group, s);
+    lc::run_barotropic(g, fx.cfg, s, filter, zg, zg2, ua, va, group);
     double after = eta_volume();
     // Flux-form divergence over a closed/periodic domain: exact volume
     // conservation (relative to the basin's eta capacity).

@@ -355,6 +355,9 @@ TEST(Farm, FailedTenantKeepsSupervisorForensics) {
   doomed.days = days_for_steps(cfg, 4);
   doomed.max_retries = 1;
   doomed.max_shrinks = 0;
+  // Two ranks: a one-rank model's halo links are local copies that never
+  // reach comm.deliver, so the crash needs a real peer to send to.
+  doomed.nranks = 2;
   // Rank 0 permanently dead: refires on every relaunch, no escape.
   doomed.faults = lr::FaultSchedule::parse("comm.deliver 0 1 crash+\n");
   const int idx = farm.submit(std::move(doomed));
@@ -366,6 +369,19 @@ TEST(Farm, FailedTenantKeepsSupervisorForensics) {
   EXPECT_EQ(st.attempts, 2);  // initial + 1 retry, preserved past the give-up
   EXPECT_EQ(st.shrinks, 0);
   EXPECT_EQ(st.steps, 0);
+}
+
+TEST(Farm, TagBlockSpacingNarrowerThanTheModelIsRefused) {
+  // Tenants' halo tag bases are tag_blocks_per_tenant apart; a spacing below
+  // the model's own block count would let neighbouring tenants' groups share
+  // tags, so the farm refuses it at construction.
+  TempDir dir("tag_blocks");
+  lf::FarmOptions opts;
+  opts.checkpoint_root = dir.path + "/farm";
+  opts.tag_blocks_per_tenant = lc::kHaloTagBlocks - 1;
+  EXPECT_THROW(lf::ForecastFarm{opts}, licomk::InvalidArgument);
+  opts.tag_blocks_per_tenant = lc::kHaloTagBlocks;
+  EXPECT_NO_THROW(lf::ForecastFarm{opts});
 }
 
 TEST(Farm, TenantGrowsBackWhenCapacityReturns) {

@@ -498,3 +498,57 @@ TEST(Model, GoldenStateCrcPinned) {
   }
   kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
 }
+
+// The multi-rank counterpart of GoldenStateCrcPinned: a 2×2 decomposition
+// exercises every halo link the one-rank grid never sends (north/south
+// neighbours, a tripolar fold between two ranks, zonal peers that are other
+// ranks). The per-rank, per-field fingerprints pin the absolute bytes,
+// ghosts included, so any change in how halos are delivered shows up here.
+TEST(Model, GoldenStateCrcPinnedFourRanks) {
+  constexpr int kGoldenSteps = 6;
+  kxx::initialize({kxx::Backend::Serial, 1, false});
+  const auto cfg = small_config();
+  auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
+  const StateSig golden[4] = {
+      {0x01f09c5ac3ee5310ull, 0x9336398860104446ull, 0x7b48cc113c54d3bcull,
+       0x7ccbf279565a1af9ull, 0x67ea188d3c49894eull},
+      {0xe4940a60fae481a0ull, 0xd6dafc4c7947431eull, 0xf58e62e1aa2a1af9ull,
+       0xc84525b47360faafull, 0x1f07998132a8be38ull},
+      {0xedc686b5e99ca70cull, 0x1764093df6267370ull, 0xe3b896f3acc17f52ull,
+       0x0478ba881f50b019ull, 0x88cec89b04e16db0ull},
+      {0xb234812d14d36d95ull, 0x0f255e5bd6a4e3eaull, 0x11e87746a39c0109ull,
+       0x6ba27139c788f5c5ull, 0x4bc283536fe41772ull},
+  };
+  StateSig sigs[4];
+  lco::Runtime::run(4, [&](lco::Communicator& c) {
+    lc::LicomModel m(cfg, global, c);
+    ASSERT_EQ(m.decomposition().px(), 2);
+    ASSERT_EQ(m.decomposition().py(), 2);
+    for (int n = 0; n < kGoldenSteps; ++n) m.step();
+    sigs[c.rank()] = state_signature(m);
+  });
+  for (int r = 0; r < 4; ++r) {
+    const StateSig& sig = sigs[r];
+    EXPECT_TRUE(sig == golden[r]) << "rank " << r << std::hex << ": {0x" << sig.t << "ull, 0x"
+                                  << sig.s << "ull, 0x" << sig.u << "ull, 0x" << sig.v
+                                  << "ull, 0x" << sig.eta << "ull}";
+  }
+  kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
+}
+
+// A one-rank model's halo links are all peer-is-self (periodic wrap, fold
+// partners on the same block): the group engine turns every one of them into
+// a local copy, so stepping delivers nothing through the communicator.
+TEST(Model, OneRankStepDeliversNoMessages) {
+  kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
+  auto cfg = small_config();
+  cfg.batch_halo_exchange = true;  // the per-field ablation does send self-messages
+  auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
+  lco::World world(1);
+  lc::LicomModel m(cfg, global, world.communicator(0));
+  m.step();  // the first step also refreshes the initial halos
+  const std::uint64_t before = world.total_messages();
+  m.step();
+  EXPECT_EQ(world.total_messages() - before, 0u);
+  EXPECT_EQ(m.exchanger().stats().messages, 0u);
+}

@@ -382,7 +382,7 @@ TEST(Supervisor, RecoversFromInjectedCrashBitIdentically) {
   // Fault-free twin for the bit-identical comparison.
   TempDir ref_dir("sup_ref");
   lr::SupervisorOptions ref_opts;
-  ref_opts.nranks = 1;
+  ref_opts.nranks = 2;
   ref_opts.checkpoint_dir = ref_dir.path;
   ref_opts.checkpoint_every_steps = 4;
   lr::Supervisor ref_sup(ref_opts);
@@ -390,32 +390,41 @@ TEST(Supervisor, RecoversFromInjectedCrashBitIdentically) {
   EXPECT_EQ(ref_report.attempts, 1);
   EXPECT_EQ(ref_report.recoveries, 0);
 
-  // Measure deliveries per step so the crash can be placed mid-run: a
-  // single-rank model exchanges with itself through World::deliver (periodic
-  // wrap + tripolar fold), so comm ops advance deterministically.
+  // Measure deliveries per step so the crash can be placed mid-run. Two
+  // ranks, because a one-rank model's halo links are all local copies and
+  // never reach World::deliver. The probe is armed with a sentinel that
+  // never fires, so the per-rank op counters tick exactly as in the real run.
+  lr::FaultSchedule sentinel;
+  sentinel.add({lr::FaultSite::CommDeliver, lr::FaultKind::CrashRank, 0,
+                std::numeric_limits<std::uint64_t>::max(), 0.0});
+  lr::arm(sentinel);
   std::uint64_t construction_ops = 0, per_step_ops = 0;
   {
-    lco::World probe(1);
-    auto c = probe.communicator(0);
     auto global = std::make_shared<licomk::grid::GlobalGrid>(small_config().grid,
                                                              small_config().bathymetry_seed);
-    lc::LicomModel m(small_config(), global, c);
-    construction_ops = probe.total_messages();
-    m.step();
-    per_step_ops = probe.total_messages() - construction_ops;
+    lco::Runtime::run(2, [&](lco::Communicator& c) {
+      lc::LicomModel m(small_config(), global, c);
+      const std::uint64_t after_construction = lr::op_count(lr::FaultSite::CommDeliver, 0);
+      m.step();
+      if (c.rank() == 0) {
+        construction_ops = after_construction;
+        per_step_ops = lr::op_count(lr::FaultSite::CommDeliver, 0) - after_construction;
+      }
+    });
   }
+  lr::disarm();
   ASSERT_GT(per_step_ops, 0u);
 
   // Crash in the middle of step 7 of the first attempt: after the step-4
   // checkpoint (generation 1), before the step-8 one.
   lr::FaultSchedule s;
-  s.add({lr::FaultSite::CommDeliver, lr::FaultKind::CrashRank, -1,
+  s.add({lr::FaultSite::CommDeliver, lr::FaultKind::CrashRank, 0,
          construction_ops + per_step_ops * 6 + per_step_ops / 2, 0.0});
   lr::arm(s);
 
   TempDir dir("sup_crash");
   lr::SupervisorOptions opts;
-  opts.nranks = 1;
+  opts.nranks = 2;
   opts.checkpoint_dir = dir.path;
   opts.checkpoint_every_steps = 4;
   opts.max_retries = 3;
@@ -423,7 +432,8 @@ TEST(Supervisor, RecoversFromInjectedCrashBitIdentically) {
   lc::GlobalDiagnostics healed;
   auto report = sup.run(small_config(), [&](lc::LicomModel& m) {
     body(m);
-    healed = m.diagnostics();
+    auto d = m.diagnostics();
+    if (m.communicator().rank() == 0) healed = d;
   });
   EXPECT_EQ(report.attempts, 2);
   EXPECT_EQ(report.recoveries, 1);
@@ -438,12 +448,13 @@ TEST(Supervisor, RecoversFromInjectedCrashBitIdentically) {
   // The recovered run ends bit-identical to the fault-free twin.
   lc::GlobalDiagnostics reference;
   lr::disarm();
-  lco::Runtime::run(1, [&](lco::Communicator& c) {
-    auto cfg = small_config();
-    auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
+  auto cfg = small_config();
+  auto global = std::make_shared<licomk::grid::GlobalGrid>(cfg.grid, cfg.bathymetry_seed);
+  lco::Runtime::run(2, [&](lco::Communicator& c) {
     lc::LicomModel m(cfg, global, c);
     body(m);
-    reference = m.diagnostics();
+    auto d = m.diagnostics();
+    if (c.rank() == 0) reference = d;
   });
   EXPECT_DOUBLE_EQ(healed.mean_sst, reference.mean_sst);
   EXPECT_DOUBLE_EQ(healed.kinetic_energy, reference.kinetic_energy);
