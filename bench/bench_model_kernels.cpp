@@ -48,14 +48,20 @@ static void BM_FullStepAthreadSim(benchmark::State& state) {
 }
 BENCHMARK(BM_FullStepAthreadSim)->Unit(benchmark::kMillisecond);
 
+// Both tracers through the FCT pair (the model's tracer advection call).
 static void BM_AdvectionTracer(benchmark::State& state) {
   ModelHolder h(8, static_cast<int>(state.range(0)), kxx::Backend::Serial);
   auto& m = *h.model;
+  auto& s = m.state();
   lc::AdvectionWorkspace ws(m.local_grid());
-  lc::compute_volume_fluxes(m.local_grid(), m.state().u_cur, m.state().v_cur, ws);
+  lc::TracerAdvScratch scratch(m.local_grid());
+  licomk::halo::ExchangeGroup q_td_group(m.exchanger());
+  q_td_group.add(ws.q_td);
+  q_td_group.add(scratch.q_td);
+  lc::compute_volume_fluxes(m.local_grid(), s.u_cur, s.v_cur, ws);
   for (auto _ : state) {
-    lc::advect_tracer_fct(m.local_grid(), 1440.0, m.state().t_cur, ws, m.exchanger(),
-                          m.state().t_new);
+    lc::advect_tracer_pair(m.local_grid(), 1440.0, s.t_cur, s.s_cur, ws, scratch, q_td_group,
+                           s.t_new, s.s_new);
   }
   state.counters["nz"] = static_cast<double>(state.range(0));
 }
@@ -64,19 +70,22 @@ BENCHMARK(BM_AdvectionTracer)->Arg(12)->Arg(30)->Unit(benchmark::kMillisecond);
 static void BM_DensityAndPressure(benchmark::State& state) {
   ModelHolder h(8, 12, kxx::Backend::Serial);
   auto& m = *h.model;
+  auto& s = m.state();
   for (auto _ : state) {
-    lc::compute_density(m.local_grid(), false, m.state().t_cur, m.state().s_cur, m.state().rho);
-    lc::compute_pressure(m.local_grid(), m.state().rho, m.state().eta_cur, m.state().pressure);
+    lc::compute_density_pressure(m.local_grid(), false, s.t_cur, s.s_cur, s.rho, s.pressure);
   }
 }
 BENCHMARK(BM_DensityAndPressure)->Unit(benchmark::kMillisecond);
 
+// Momentum tendencies and their two vertical means (one column sweep).
 static void BM_MomentumTendencies(benchmark::State& state) {
   ModelHolder h(8, 12, kxx::Backend::Serial);
   auto& m = *h.model;
+  auto& s = m.state();
+  licomk::halo::BlockField2D gu("gu_bar", m.local_grid().extent());
+  licomk::halo::BlockField2D gv("gv_bar", m.local_grid().extent());
   for (auto _ : state) {
-    lc::compute_momentum_tendencies(m.local_grid(), m.config(), m.state(), 0.0,
-                                    m.state().fu_tend, m.state().fv_tend);
+    lc::compute_tendency_means(m.local_grid(), m.config(), s, 0.0, s.fu_tend, s.fv_tend, gu, gv);
   }
 }
 BENCHMARK(BM_MomentumTendencies)->Unit(benchmark::kMillisecond);
@@ -88,43 +97,18 @@ static void BM_VerticalMixing(benchmark::State& state) {
 }
 BENCHMARK(BM_VerticalMixing)->Unit(benchmark::kMillisecond);
 
-// --- Pack/fusion ablation of the readyt/readyc dynamics chain -------------
+// --- Pack-width ablation of the readyt/readyc dynamics chain --------------
 //
-// Three legs, bit-identical outputs (tests/test_dynamics.cpp): the scalar
-// unfused chain (density, pressure, tendencies, 2x vertical_mean), the fused
-// chain at pack width 1 (fusion-only win: elided rho/fu/fv re-reads), and the
-// fused chain at the compiled pack width (fusion + SIMD lanes).
-// ci/check_pack_fusion.py gates the packed+fused / scalar-unfused ratio.
-static void run_dyn_chain_unfused(lc::LicomModel& m, licomk::halo::BlockField2D& gu,
-                                  licomk::halo::BlockField2D& gv) {
+// The same chains (density+pressure, tendencies+vertical means) at pack
+// width 1 and at widths 4 and 8; the outputs are bit-identical
+// (tests/test_dynamics.cpp). ci/check_pack_fusion.py gates the pack-8 /
+// pack-1 ratio.
+static void run_dyn_chain(lc::LicomModel& m, licomk::halo::BlockField2D& gu,
+                          licomk::halo::BlockField2D& gv) {
   auto& s = m.state();
-  lc::compute_density(m.local_grid(), false, s.t_cur, s.s_cur, s.rho);
-  lc::compute_pressure(m.local_grid(), s.rho, s.eta_cur, s.pressure);
-  lc::compute_momentum_tendencies(m.local_grid(), m.config(), m.state(), 0.0, s.fu_tend,
-                                  s.fv_tend);
-  lc::vertical_mean(m.local_grid(), s.fu_tend, gu);
-  lc::vertical_mean(m.local_grid(), s.fv_tend, gv);
+  lc::compute_density_pressure(m.local_grid(), false, s.t_cur, s.s_cur, s.rho, s.pressure);
+  lc::compute_tendency_means(m.local_grid(), m.config(), s, 0.0, s.fu_tend, s.fv_tend, gu, gv);
 }
-
-static void run_dyn_chain_fused(lc::LicomModel& m, licomk::halo::BlockField2D& gu,
-                                licomk::halo::BlockField2D& gv) {
-  auto& s = m.state();
-  lc::compute_density_pressure_fused(m.local_grid(), false, s.t_cur, s.s_cur, s.rho, s.eta_cur,
-                                     s.pressure);
-  lc::compute_tendency_means_fused(m.local_grid(), m.config(), m.state(), 0.0, s.fu_tend,
-                                   s.fv_tend, gu, gv);
-}
-
-static void BM_DynChainScalarUnfused(benchmark::State& state) {
-  ModelHolder h(8, 12, kxx::Backend::Serial);
-  auto& m = *h.model;
-  licomk::halo::BlockField2D gu("gu_bar", m.local_grid().extent());
-  licomk::halo::BlockField2D gv("gv_bar", m.local_grid().extent());
-  kxx::set_pack_size(1);
-  for (auto _ : state) run_dyn_chain_unfused(m, gu, gv);
-  kxx::set_pack_size(LICOMK_PACK_SIZE);
-}
-BENCHMARK(BM_DynChainScalarUnfused)->Unit(benchmark::kMillisecond);
 
 static void BM_DynChainFusedScalar(benchmark::State& state) {
   ModelHolder h(8, 12, kxx::Backend::Serial);
@@ -132,7 +116,7 @@ static void BM_DynChainFusedScalar(benchmark::State& state) {
   licomk::halo::BlockField2D gu("gu_bar", m.local_grid().extent());
   licomk::halo::BlockField2D gv("gv_bar", m.local_grid().extent());
   kxx::set_pack_size(1);
-  for (auto _ : state) run_dyn_chain_fused(m, gu, gv);
+  for (auto _ : state) run_dyn_chain(m, gu, gv);
   kxx::set_pack_size(LICOMK_PACK_SIZE);
 }
 BENCHMARK(BM_DynChainFusedScalar)->Unit(benchmark::kMillisecond);
@@ -143,14 +127,13 @@ static void BM_DynChainFusedPacked(benchmark::State& state) {
   licomk::halo::BlockField2D gu("gu_bar", m.local_grid().extent());
   licomk::halo::BlockField2D gv("gv_bar", m.local_grid().extent());
   kxx::set_pack_size(static_cast<int>(state.range(0)));
-  for (auto _ : state) run_dyn_chain_fused(m, gu, gv);
+  for (auto _ : state) run_dyn_chain(m, gu, gv);
   kxx::set_pack_size(LICOMK_PACK_SIZE);
   state.counters["pack"] = static_cast<double>(state.range(0));
 }
 BENCHMARK(BM_DynChainFusedPacked)->Arg(4)->Arg(8)->Unit(benchmark::kMillisecond);
 
-// Pack-vs-scalar on the fused tracer-hdiff pair path: full step at pack
-// width 1 vs the compiled width, fusion on in both.
+// Pack-vs-scalar on the whole step: full step at pack width 1 vs 8.
 static void BM_FullStepPacked(benchmark::State& state) {
   ModelHolder h(8, 12, kxx::Backend::Serial);
   kxx::set_pack_size(static_cast<int>(state.range(0)));
@@ -183,14 +166,12 @@ int main(int argc, char** argv) {
     // self-registers on the first fallback).
     licomk::telemetry::counter("kxx.athread_fallbacks")
         .record_max(static_cast<std::uint64_t>(kxx::athread_fallback_count()));
-    // Pack/fusion gauges for the baseline context (ci/update_baseline.sh
-    // harvests these into licomk_pack_gauges; ci/check_perf.py shape-checks).
+    // Pack gauges for the baseline context (ci/update_baseline.sh harvests
+    // these into licomk_pack_gauges; ci/check_perf.py shape-checks).
     licomk::telemetry::set_gauge("kxx.pack.lanes_active",
                                  static_cast<double>(kxx::pack_lanes_active()));
     licomk::telemetry::set_gauge("kxx.pack.lanes_masked",
                                  static_cast<double>(kxx::pack_lanes_masked()));
-    licomk::telemetry::set_gauge("kxx.fusion.views_elided_bytes",
-                                 static_cast<double>(kxx::fusion_views_elided_bytes()));
     const char* out = std::getenv("LICOMK_TELEMETRY_OUT");
     std::string prefix = out != nullptr ? std::string(out) + "/" : std::string();
     licomk::telemetry::write_metrics_json(prefix + "metrics.json");

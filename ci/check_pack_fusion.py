@@ -1,20 +1,18 @@
 #!/usr/bin/env python3
-"""Pack/fusion gate: the fused+packed dynamics chain must beat scalar-unfused.
+"""Pack gate: the packed dynamics chain must beat the same chain at width 1.
 
 Reads one Google Benchmark JSON file (the perf-smoke run) and compares the
-three ablation legs bench_model_kernels exports:
+pack-width ablation legs bench_model_kernels exports for the readyt/readyc
+chain (density+pressure, tendencies+vertical means):
 
-  BM_DynChainScalarUnfused   — density, pressure, tendencies, 2x vertical_mean
-                               at pack width 1 (the pre-pack code path)
-  BM_DynChainFusedScalar     — fused rho+p / tendency+means at pack width 1
-                               (fusion-only win)
-  BM_DynChainFusedPacked/8   — fused chain at pack width 8 (fusion + SIMD)
+  BM_DynChainFusedScalar     — the chain at pack width 1 (scalar lowering)
+  BM_DynChainFusedPacked/8   — the chain at pack width 8 (SIMD lanes)
 
-Fails (exit 1) when fused+packed/8 is not at least --min-speedup faster than
-scalar-unfused. The default of 1.05 is deliberately loose for a smoke-sized
+Fails (exit 1) when pack width 8 is not at least --min-speedup faster than
+pack width 1. The default of 1.05 is deliberately loose for a smoke-sized
 grid (the chain is partly memory-bound and the smoke domain fits in cache);
-it exists to catch the packed path silently lowering to scalar-per-lane or a
-fusion regression, not to certify the paper's full-resolution speedups.
+it exists to catch the packed path silently lowering to scalar-per-lane,
+not to certify the paper's full-resolution speedups.
 
 Exit 2 with a diagnostic when a leg is missing or the file is not benchmark
 JSON (same contract as ci/check_perf.py).
@@ -23,8 +21,7 @@ import argparse
 import json
 import sys
 
-_SCALAR = "BM_DynChainScalarUnfused"
-_FUSED = "BM_DynChainFusedScalar"
+_SCALAR = "BM_DynChainFusedScalar"
 _PACKED = "BM_DynChainFusedPacked/8"
 
 
@@ -46,7 +43,7 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("bench_json", help="Google Benchmark JSON of the smoke run")
     ap.add_argument("--min-speedup", type=float, default=1.05,
-                    help="fail when scalar-unfused/packed-fused is below this "
+                    help="fail when pack-1/pack-8 time is below this "
                          "(default 1.05)")
     args = ap.parse_args()
 
@@ -56,7 +53,7 @@ def main():
         print(f"error: {e}", file=sys.stderr)
         return 2
 
-    missing = [n for n in (_SCALAR, _FUSED, _PACKED) if n not in times]
+    missing = [n for n in (_SCALAR, _PACKED) if n not in times]
     if missing:
         for n in missing:
             print(f"error: {args.bench_json}: ablation leg '{n}' missing "
@@ -64,22 +61,21 @@ def main():
                   file=sys.stderr)
         return 2
 
-    scalar, fused, packed = times[_SCALAR], times[_FUSED], times[_PACKED]
+    scalar, packed = times[_SCALAR], times[_PACKED]
     if packed <= 0:
         print(f"error: {_PACKED} reported nonpositive time {packed}", file=sys.stderr)
         return 2
 
     speedup = scalar / packed
     print(f"{_SCALAR:<32} {scalar:10.4f}")
-    print(f"{_FUSED:<32} {fused:10.4f}  ({scalar / fused:.2f}x vs scalar)")
-    print(f"{_PACKED:<32} {packed:10.4f}  ({speedup:.2f}x vs scalar)")
+    print(f"{_PACKED:<32} {packed:10.4f}  ({speedup:.2f}x vs pack width 1)")
 
     if speedup < args.min_speedup:
-        print(f"\npack/fusion gate FAILED: fused+packed is only {speedup:.2f}x "
-              f"the scalar-unfused chain (need >= {args.min_speedup}x)",
+        print(f"\npack gate FAILED: pack width 8 is only {speedup:.2f}x "
+              f"the pack-width-1 chain (need >= {args.min_speedup}x)",
               file=sys.stderr)
         return 1
-    print(f"\npack/fusion gate passed: {speedup:.2f}x >= {args.min_speedup}x")
+    print(f"\npack gate passed: {speedup:.2f}x >= {args.min_speedup}x")
     return 0
 
 

@@ -122,16 +122,14 @@ def check_farm_context(path, role):
 
 # Gauge keys a licomk_pack_gauges section must carry — the SIMD regime the
 # timings were taken under (how many lanes did useful work, how many were
-# masked off at tails/land, and how many bytes of intermediate-field traffic
-# kernel fusion elided).
-_PACK_GAUGE_KEYS = ("kxx.pack.lanes_active", "kxx.pack.lanes_masked",
-                    "kxx.fusion.views_elided_bytes")
+# masked off at tails/land).
+_PACK_GAUGE_KEYS = ("kxx.pack.lanes_active", "kxx.pack.lanes_masked")
 
 
 def check_pack_context(path, role):
     """Validate the OPTIONAL `licomk_pack_gauges` baseline-context section.
 
-    ci/update_baseline.sh records the kxx pack/fusion gauges from a
+    ci/update_baseline.sh records the kxx pack gauges from a
     telemetry-enabled bench run next to the timings. Absence is fine —
     pre-pack baselines stay valid — but a present section must carry every
     gauge as a number: a half-written pack context means the vectorization

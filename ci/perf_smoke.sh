@@ -36,9 +36,9 @@ python3 ci/check_perf.py bench/baseline_smoke.json "$OUT_DIR/bench_smoke.json" \
 # batched DMA, transfer/compute overlap, no MPE or staging fallbacks.
 python3 ci/check_ldm_staging.py "$OUT_DIR/metrics.json"
 
-# SIMD pack + kernel fusion: the fused+packed readyt/readyc dynamics chain
-# must measurably beat the scalar-unfused chain (guards against the packed
-# path silently lowering to scalar or a fusion regression).
+# SIMD pack: the readyt/readyc dynamics chain at pack width 8 must
+# measurably beat the same chain at width 1 (guards against the packed path
+# silently lowering to scalar).
 python3 ci/check_pack_fusion.py "$OUT_DIR/bench_smoke.json"
 
 # Halo group engine: the same small 4-rank model with grouped vs per-field

@@ -18,8 +18,7 @@ TMP_DIR="$(mktemp -d)"
 trap 'rm -rf "$TMP_DIR"' EXIT
 
 # Telemetry on, matching the perf-smoke run: the exported metrics.json also
-# carries the kxx.pack.* / kxx.fusion.* gauges recorded into the context
-# below.
+# carries the kxx.pack.* gauges recorded into the context below.
 mkdir -p "$TMP_DIR/bench"
 LICOMK_TELEMETRY=1 LICOMK_TELEMETRY_OUT="$TMP_DIR/bench" \
   "$BUILD_DIR/bench/bench_model_kernels" \
@@ -63,15 +62,14 @@ ensemble = {k: v for k, v in sorted(fg.items())
 base["context"]["licomk_farm_gauges"] = {"tenants": tenants, "ensemble": ensemble}
 print(f"recorded {len(tenants)} farm tenant sections in baseline context")
 
-# The SIMD regime behind the timings: pack lane utilization and fused-kernel
-# traffic elision from the bench run itself (validated by ci/check_perf.py's
-# check_pack_context).
+# The SIMD regime behind the timings: pack lane utilization from the bench
+# run itself (validated by ci/check_perf.py's check_pack_context).
 with open(bench_metrics_path) as f:
     bg = json.load(f).get("gauges", {})
 pack = {k: v for k, v in sorted(bg.items())
-        if k.startswith("kxx.pack.") or k.startswith("kxx.fusion.")}
+        if k.startswith("kxx.pack.")}
 base["context"]["licomk_pack_gauges"] = pack
-print(f"recorded {len(pack)} pack/fusion gauges in baseline context")
+print(f"recorded {len(pack)} pack gauges in baseline context")
 
 # The elastic-resilience regime: the growback soak drill's shrink/grow-back
 # counters and the weighted-decomposition imbalance pair (validated by

@@ -144,48 +144,10 @@ inline double upwind_flux(double vol, double q_from, double q_to) {
   return vol > 0.0 ? vol * q_from : vol * q_to;
 }
 
-/// Stage 2a: low-order provisional field q_td (monotone donor-cell update).
-struct LowOrder {
-  Geo g;
-  CF3 q, fe, fn, w;
-  F3 qtd;
-  double dt;
-  void operator()(long long k, long long j, long long i) const {
-    if (!g.active(k, j, i)) {
-      qtd(k, j, i) = q(k, j, i);
-      return;
-    }
-    auto lo_e = [&](long long jj, long long ii) {
-      return upwind_flux(fe(k, jj, ii), q(k, jj, ii), q(k, jj, ii + 1));
-    };
-    auto lo_n = [&](long long jj, long long ii) {
-      return upwind_flux(fn(k, jj, ii), q(k, jj, ii), q(k, jj + 1, ii));
-    };
-    // Vertical: flux through the top of cell kk moves tracer from cell kk
-    // (when upward) to cell kk-1. The surface face (kk == 0) is closed to
-    // tracer transport (free-surface volume change handles it).
-    auto lo_t = [&](long long kk) {
-      if (kk <= 0 || kk >= g.kmt(j, i)) return 0.0;
-      return upwind_flux(w(kk, j, i), q(kk, j, i), q(kk - 1, j, i));
-    };
-    double vol = g.area(j, i) * g.dz[k];
-    double div = lo_e(j, i) - lo_e(j, i - 1) + lo_n(j, i) - lo_n(j - 1, i) + lo_t(k) - lo_t(k + 1);
-    // Free-surface consistency: the surface cell's volume change (w through
-    // the closed tracer lid, absorbed by eta) enters in advective form, so a
-    // uniform tracer stays exactly uniform under divergent flow and the
-    // donor-cell predictor keeps its maximum principle. The tracer budget
-    // then closes up to the physical dt*q*w_surface free-surface term.
-    if (k == 0) div += q(0, j, i) * w(0, j, i);
-    qtd(k, j, i) = q(k, j, i) - dt * div / vol;
-  }
-};
-
-/// Stage 2a (fused pair): both tracers' monotone predictors in one sweep —
-/// the volume fluxes fe/fn/w and the cell volume are loaded once and feed
-/// both donor-cell updates, eliding the second LowOrder pass's full re-read
-/// of the three flux fields. Each tracer's update is textually LowOrder's
-/// expression, so the result is bit-identical to two LowOrder dispatches.
-struct FusedLowOrderPair {
+/// Stage 2a: low-order provisional fields q_td of BOTH tracers (monotone
+/// donor-cell update) in one sweep; the volume fluxes fe/fn/w and the cell
+/// volume are loaded once and feed both updates.
+struct LowOrderPair {
   Geo g;
   CF3 qa, qb, fe, fn, w;
   F3 qa_td, qb_td;
@@ -203,10 +165,18 @@ struct FusedLowOrderPair {
     auto lo_n = [&](const CF3& q, long long jj, long long ii) {
       return upwind_flux(fn(k, jj, ii), q(k, jj, ii), q(k, jj + 1, ii));
     };
+    // Vertical: flux through the top of cell kk moves tracer from cell kk
+    // (when upward) to cell kk-1. The surface face (kk == 0) is closed to
+    // tracer transport (free-surface volume change handles it).
     auto lo_t = [&](const CF3& q, long long kk) {
       if (kk <= 0 || kk >= g.kmt(j, i)) return 0.0;
       return upwind_flux(w(kk, j, i), q(kk, j, i), q(kk - 1, j, i));
     };
+    // Free-surface consistency: the surface cell's volume change (w through
+    // the closed tracer lid, absorbed by eta) enters in advective form, so a
+    // uniform tracer stays exactly uniform under divergent flow and the
+    // donor-cell predictor keeps its maximum principle. The tracer budget
+    // then closes up to the physical dt*q*w_surface free-surface term.
     double vol = g.area(j, i) * g.dz[k];
     double div_a = lo_e(qa, j, i) - lo_e(qa, j, i - 1) + lo_n(qa, j, i) - lo_n(qa, j - 1, i) +
                    lo_t(qa, k) - lo_t(qa, k + 1);
@@ -419,8 +389,7 @@ KXX_REGISTER_FOR_3D(adv_flux_east, licomk::core::adv::FluxEast);
 KXX_REGISTER_FOR_3D(adv_flux_north, licomk::core::adv::FluxNorth);
 KXX_REGISTER_FOR_2D(adv_w_continuity, licomk::core::adv::WContinuity);
 KXX_REGISTER_FOR_2D(adv_gm_bolus, licomk::core::adv::GmBolus);
-KXX_REGISTER_FOR_3D(adv_low_order, licomk::core::adv::LowOrder);
-KXX_REGISTER_FOR_3D(adv_low_order_pair, licomk::core::adv::FusedLowOrderPair);
+KXX_REGISTER_FOR_3D(adv_low_order_pair, licomk::core::adv::LowOrderPair);
 KXX_REGISTER_FOR_3D(adv_anti_east, licomk::core::adv::AntiDiffEast);
 KXX_REGISTER_FOR_3D(adv_anti_north, licomk::core::adv::AntiDiffNorth);
 KXX_REGISTER_FOR_3D(adv_anti_top, licomk::core::adv::AntiDiffTop);
@@ -495,89 +464,32 @@ void compute_volume_fluxes(const LocalGrid& g, const halo::BlockField3D& u,
   ws.w_top.mark_dirty();
 }
 
-void advect_tracer_fct(const LocalGrid& g, double dt, const halo::BlockField3D& q,
-                       AdvectionWorkspace& ws, halo::HaloExchanger& exchanger,
-                       halo::BlockField3D& q_out) {
-  adv::Geo geo = make_geo(g);
-  const int h = decomp::kHaloWidth;
-  const int nyt = g.ny_total();
-  const int nxt = g.nx_total();
-
-  // Stage 2: monotone predictor on interior + 1 ring, anti-diffusive fluxes
-  // over the full face-valid regions (the limiter reads them one ring out).
-  adv::LowOrder lo{geo, cref(q), cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
-                   mref(ws.q_td), dt};
-  kxx::parallel_for("adv_low_order", cells3(g, 1), lo);
-  ws.q_td.mark_dirty();
-
-  // The limiter needs q_td at the neighbors of ring-1 cells: one halo update
-  // (this mid-kernel exchange is why advection dominates the halo budget).
-  // Split-phase (§V-D overlap): the anti-diffusive fluxes do not read q_td,
-  // so they compute while the q_td boundary messages are in flight.
-  auto pending = exchanger.begin_update(ws.q_td);
-
-  adv::AntiDiffEast ade{geo, cref(q), cref(ws.flux_e), mref(ws.a_e)};
-  kxx::parallel_for("adv_anti_east", kxx::MDRangePolicy3({0, 1, 0}, {g.nz(), nyt, nxt - 1}),
-                    ade);
-  adv::AntiDiffNorth adn{geo, cref(q), cref(ws.flux_n), mref(ws.a_n)};
-  kxx::parallel_for("adv_anti_north", kxx::MDRangePolicy3({0, 0, 1}, {g.nz(), nyt - 1, nxt}),
-                    adn);
-  adv::AntiDiffTop adt{geo, cref(q), cref(ws.w_top), mref(ws.a_t)};
-  kxx::parallel_for("adv_anti_top", cells3(g, 1), adt);
-
-  exchanger.finish_update(pending);
-
-  // Stage 3: limiter factors on interior + 1 ring.
-  adv::RFactors rf{geo,          cref(q),        cref(ws.q_td), cref(ws.a_e), cref(ws.a_n),
-                   cref(ws.a_t), mref(ws.r_plus), mref(ws.r_minus), dt};
-  kxx::parallel_for("adv_r_factors", cells3(g, 1), rf);
-
-  // Stage 4: corrected update on the interior.
-  adv::Correct cr{geo,          cref(q),          cref(ws.q_td),   cref(ws.a_e), cref(ws.a_n),
-                  cref(ws.a_t), cref(ws.r_plus),  cref(ws.r_minus), mref(q_out),  dt};
-  kxx::parallel_for("adv_correct",
-                    kxx::MDRangePolicy3({0, h, h}, {g.nz(), nyt - h, nxt - h}), cr);
-  q_out.mark_dirty();
-}
-
-TracerAdvScratch::TracerAdvScratch(const LocalGrid& g)
+TracerAdvScratch::TracerAdvScratch(const LocalGrid& g, bool biharmonic)
     : q_td("adv_q_td_b", g.extent(), g.nz()),
       a_e("adv_a_e_b", g.extent(), g.nz()),
       a_n("adv_a_n_b", g.extent(), g.nz()),
       a_t("adv_a_t_b", g.extent(), g.nz()),
       r_plus("adv_r_plus_b", g.extent(), g.nz()),
-      r_minus("adv_r_minus_b", g.extent(), g.nz()) {}
+      r_minus("adv_r_minus_b", g.extent(), g.nz()) {
+  if (biharmonic) hmix_lap = halo::BlockField3D("hmix_lap_b", g.extent(), g.nz());
+}
 
 void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D& qa,
                         const halo::BlockField3D& qb, AdvectionWorkspace& ws,
                         TracerAdvScratch& scratch, halo::ExchangeGroup& q_td_group,
-                        halo::BlockField3D& qa_out, halo::BlockField3D& qb_out,
-                        bool fuse_low_order) {
+                        halo::BlockField3D& qa_out, halo::BlockField3D& qb_out) {
   adv::Geo geo = make_geo(g);
   const int h = decomp::kHaloWidth;
   const int nyt = g.ny_total();
   const int nxt = g.nx_total();
 
-  // Monotone predictors for both tracers before any communication, so the
-  // whole aggregated q_td exchange overlaps both tracers' flux kernels.
-  if (fuse_low_order) {
-    // Fused + packed: one sweep shares the fe/fn/w loads between both
-    // tracers' donor-cell updates (bit-identical to the two passes below).
-    adv::FusedLowOrderPair lo{geo,           cref(qa),       cref(qb),
-                              cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
-                              mref(ws.q_td), mref(scratch.q_td), dt};
-    kxx::parallel_for_packed("adv_low_order_pair", cells3(g, 1), lo);
-    // Elided: the second predictor's re-reads of the three flux fields.
-    kxx::note_fusion_views_elided(3LL * g.nz() * (g.ny_total() - 2) * (g.nx_total() - 2) *
-                                  static_cast<long long>(sizeof(double)));
-  } else {
-    adv::LowOrder lo_a{geo, cref(qa), cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
-                       mref(ws.q_td), dt};
-    kxx::parallel_for("adv_low_order", cells3(g, 1), lo_a);
-    adv::LowOrder lo_b{geo, cref(qb), cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
-                       mref(scratch.q_td), dt};
-    kxx::parallel_for("adv_low_order", cells3(g, 1), lo_b);
-  }
+  // Stage 2: monotone predictors for both tracers before any communication
+  // (interior + 1 ring), so the whole aggregated q_td exchange overlaps both
+  // tracers' anti-diffusive flux kernels.
+  adv::LowOrderPair lo{geo,           cref(qa),       cref(qb),
+                       cref(ws.flux_e), cref(ws.flux_n), cref(ws.w_top),
+                       mref(ws.q_td), mref(scratch.q_td), dt};
+  kxx::parallel_for_packed("adv_low_order_pair", cells3(g, 1), lo);
   ws.q_td.mark_dirty();
   scratch.q_td.mark_dirty();
 

@@ -47,40 +47,32 @@ void compute_volume_fluxes(const LocalGrid& g, const halo::BlockField3D& u,
                            const halo::BlockField3D& v, AdvectionWorkspace& ws,
                            double gm_kappa = 0.0, const halo::BlockField3D* rho = nullptr);
 
-/// Advect tracer `q` (valid halo) through the fluxes in `ws` over `dt`
-/// seconds, writing `q_out` on the interior. Performs one halo update of the
-/// provisional field (through `exchanger`), as the original does inside its
-/// advection routine. `q_out` interior is complete; its halo is NOT updated.
-void advect_tracer_fct(const LocalGrid& g, double dt, const halo::BlockField3D& q,
-                       AdvectionWorkspace& ws, halo::HaloExchanger& exchanger,
-                       halo::BlockField3D& q_out);
-
 /// Second set of per-tracer scratch fields so advect_tracer_pair can carry
 /// two tracers through the FCT stages at once (the volume fluxes in
 /// AdvectionWorkspace are shared read-only). Allocate once per rank.
 struct TracerAdvScratch {
   halo::BlockField3D q_td, a_e, a_n, a_t, r_plus, r_minus;
+  /// Biharmonic first-pass Laplacian of the second tracer; allocated only
+  /// when `biharmonic` is set (Laplacian runs leave it empty).
+  halo::BlockField3D hmix_lap;
 
-  explicit TracerAdvScratch(const LocalGrid& g);
+  explicit TracerAdvScratch(const LocalGrid& g, bool biharmonic = false);
 };
 
-/// Advect two tracers through the same fluxes, batching the two provisional
-/// q_td halo updates into ONE grouped exchange that overlaps both tracers'
+/// Advect two tracers (valid halos) through the fluxes in `ws` over `dt`
+/// seconds, writing `qa_out`/`qb_out` on the interior; their halos are NOT
+/// updated. The low-order predictors of both tracers run as one packed sweep
+/// that shares the volume-flux loads, and the two provisional q_td halo
+/// updates travel as ONE grouped exchange that overlaps both tracers'
 /// anti-diffusive flux kernels. `q_td_group` must enroll exactly
 /// (ws.q_td, scratch.q_td), symmetric, with the default 3-D method; the
-/// caller owns it so its plan is reused across steps. Bit-identical to two
-/// sequential advect_tracer_fct calls (asserted in test_advection); tracer
-/// `qa` uses the workspace scratch, `qb` the TracerAdvScratch.
-///
-/// `fuse_low_order` runs BOTH tracers' monotone predictors as one fused,
-/// packed sweep (FusedLowOrderPairK): the volume-flux loads fe/fn/w are
-/// shared instead of re-read per tracer. Bit-identical either way; callers
-/// should gate it on ModelConfig::fuse_kernels and leave it off on the
-/// AthreadSim backend (ci/check_ldm_staging.py gates on the unfused labels).
+/// caller owns it so its plan is reused across steps. Tracer `qa` uses the
+/// workspace scratch, `qb` the TracerAdvScratch. Each output is bit-identical
+/// to baseline_advect_tracer on that tracer alone (asserted in
+/// test_advection at every pack width).
 void advect_tracer_pair(const LocalGrid& g, double dt, const halo::BlockField3D& qa,
                         const halo::BlockField3D& qb, AdvectionWorkspace& ws,
                         TracerAdvScratch& scratch, halo::ExchangeGroup& q_td_group,
-                        halo::BlockField3D& qa_out, halo::BlockField3D& qb_out,
-                        bool fuse_low_order = false);
+                        halo::BlockField3D& qa_out, halo::BlockField3D& qb_out);
 
 }  // namespace licomk::core

@@ -14,138 +14,12 @@ namespace licomk::core {
 
 namespace dyn {
 
-struct DensityK {
-  CI2 kmt;
-  CF3 t, s;
-  F3 rho;
-  const double* zc = nullptr;
-  int linear = 0;
-  void operator()(long long k, long long j, long long i) const {
-    if (k >= kmt(j, i)) return;
-    rho(k, j, i) = density(linear != 0, t(k, j, i), s(k, j, i), zc[k]);
-  }
-};
-
-struct PressureK {
-  CI2 kmt;
-  CF3 rho;
-  CF2 eta;  ///< unused by the integral; kept so the kernel signature matches
-            ///< the readyt call shape (the surface slope force belongs to the
-            ///< barotropic sub-system only — including g*eta here would
-            ///< double-count it against barotr's -g*grad(eta)).
-  F3 p;
-  const double* zc = nullptr;
-  const double* dz = nullptr;
-  void operator()(long long j, long long i) const {
-    int nlev = kmt(j, i);
-    if (nlev == 0) return;
-    double pk = kGravity * rho(0, j, i) * 0.5 * dz[0] / kRho0;
-    p(0, j, i) = pk;
-    for (int k = 1; k < nlev; ++k) {
-      double dzc = zc[k] - zc[k - 1];
-      pk += kGravity * 0.5 * (rho(k - 1, j, i) + rho(k, j, i)) * dzc / kRho0;
-      p(k, j, i) = pk;
-    }
-  }
-};
-
-struct TendencyK {
-  CI2 kmu;
-  CF2 dxu, dyu, lon, lat;
-  CF3 u, v, p;
-  F3 fu, fv;
-  const double* dz = nullptr;
-  double viscosity = 0.0;
-  double day_of_year = 0.0;
-  double bottom_drag = 5.0e-4;  ///< linear drag velocity, m/s
-  double wind_scale = 1.0;      ///< ensemble wind-stress perturbation factor
-
-  /// LDM staging footprint: u/v carry the full ±1 horizontal stencil, p is
-  /// read at (j..j+1, i..i+1); fu/fv are written at every dispatched index
-  /// (0.0 below the column bottom). 2-D metrics/masks stay unstaged.
-  void kxx_access(kxx::AccessSpec& a) const {
-    a.in(u).halo(1, 1, 1).halo(2, 1, 1);
-    a.in(v).halo(1, 1, 1).halo(2, 1, 1);
-    a.in(p).halo(1, 0, 1).halo(2, 0, 1);
-    a.out(fu);
-    a.out(fv);
-  }
-
-  void operator()(long long k, long long j, long long i) const {
-    if (k >= kmu(j, i)) {
-      fu(k, j, i) = 0.0;
-      fv(k, j, i) = 0.0;
-      return;
-    }
-    double inv_dx = 1.0 / dxu(j, i);
-    double inv_dy = 1.0 / dyu(j, i);
-
-    // Baroclinic + surface pressure gradient, averaged from the four
-    // surrounding T cells onto the corner.
-    double dpdx =
-        0.5 * ((p(k, j, i + 1) + p(k, j + 1, i + 1)) - (p(k, j, i) + p(k, j + 1, i))) * inv_dx;
-    double dpdy =
-        0.5 * ((p(k, j + 1, i) + p(k, j + 1, i + 1)) - (p(k, j, i) + p(k, j, i + 1))) * inv_dy;
-
-    // Centered horizontal advection of momentum.
-    double uc = u(k, j, i);
-    double vc = v(k, j, i);
-    double dudx = 0.5 * (u(k, j, i + 1) - u(k, j, i - 1)) * inv_dx;
-    double dudy = 0.5 * (u(k, j + 1, i) - u(k, j - 1, i)) * inv_dy;
-    double dvdx = 0.5 * (v(k, j, i + 1) - v(k, j, i - 1)) * inv_dx;
-    double dvdy = 0.5 * (v(k, j + 1, i) - v(k, j - 1, i)) * inv_dy;
-
-    // Laplacian horizontal viscosity.
-    double lap_u = (u(k, j, i + 1) - 2.0 * uc + u(k, j, i - 1)) * inv_dx * inv_dx +
-                   (u(k, j + 1, i) - 2.0 * uc + u(k, j - 1, i)) * inv_dy * inv_dy;
-    double lap_v = (v(k, j, i + 1) - 2.0 * vc + v(k, j, i - 1)) * inv_dx * inv_dx +
-                   (v(k, j + 1, i) - 2.0 * vc + v(k, j - 1, i)) * inv_dy * inv_dy;
-
-    double gu = -dpdx - (uc * dudx + vc * dudy) + viscosity * lap_u;
-    double gv = -dpdy - (uc * dvdx + vc * dvdy) + viscosity * lap_v;
-
-    if (k == 0) {  // wind stress enters the top layer
-      SurfaceForcing f = climatological_forcing(lon(j, i), lat(j, i), day_of_year);
-      gu += wind_scale * f.tau_x / (kRho0 * dz[0]);
-      gv += wind_scale * f.tau_y / (kRho0 * dz[0]);
-    }
-    if (k == kmu(j, i) - 1) {  // linear bottom drag in the deepest layer
-      gu -= bottom_drag * uc / dz[k];
-      gv -= bottom_drag * vc / dz[k];
-    }
-    fu(k, j, i) = gu;
-    fv(k, j, i) = gv;
-  }
-};
-
-struct VertMeanK {
-  CI2 kmu;
-  CF3 x;
-  F2 out;
-  const double* dz = nullptr;
-  void operator()(long long j, long long i) const {
-    int nlev = kmu(j, i);
-    if (nlev == 0) {
-      out(j, i) = 0.0;
-      return;
-    }
-    double num = 0.0;
-    double den = 0.0;
-    for (int k = 0; k < nlev; ++k) {
-      num += x(k, j, i) * dz[k];
-      den += dz[k];
-    }
-    out(j, i) = num / den;
-  }
-};
-
-/// Fused readyt (density + hydrostatic pressure) in one column sweep: ρ(k)
-/// is computed once, stored (GM bolus still reads the View), and consumed by
-/// the pressure integral FROM THE REGISTER — the unfused PressureK's full
-/// re-read of rho is elided. Bit-identity: the stored double and the register
-/// hold the same value, and the integral below is textually the PressureK
-/// expression, so every FP op matches the unfused chain.
-struct FusedDensityPressureK {
+/// readyt: density and the hydrostatic pressure integral in one column
+/// sweep. ρ(k) is computed once, stored (GM bolus reads the View), and
+/// consumed by the trapezoid integral from the register, so the rho View is
+/// never re-read. The surface slope force -g∇η belongs to the barotropic
+/// sub-system, so η does not enter here.
+struct DensityPressureK {
   CI2 kmt;
   CF3 t, s;
   F3 rho;
@@ -226,11 +100,13 @@ struct FusedDensityPressureK {
   }
 };
 
-/// Fused readyc (momentum tendencies + both dz-weighted vertical means): the
-/// tendencies gu/gv feed the mean accumulators straight from registers, so
-/// the two VertMeanK re-read passes over fu and fv are elided. The stencil
-/// math is textually TendencyK's; the accumulation is textually VertMeanK's.
-struct FusedTendencyMeanK {
+/// readyc: explicit momentum tendencies at U corners — baroclinic pressure
+/// gradient, centered horizontal advection, Laplacian viscosity, wind stress
+/// in the top layer, linear bottom drag in the deepest active layer — and
+/// both dz-weighted vertical means in one column sweep. gu/gv feed the mean
+/// accumulators straight from registers. Coriolis is not included (the
+/// updates treat it semi-implicitly).
+struct TendencyMeanK {
   CI2 kmu;
   CF2 dxu, dyu, lon, lat;
   CF3 u, v, p;
@@ -239,8 +115,8 @@ struct FusedTendencyMeanK {
   const double* dz = nullptr;
   double viscosity = 0.0;
   double day_of_year = 0.0;
-  double bottom_drag = 5.0e-4;
-  double wind_scale = 1.0;
+  double bottom_drag = 5.0e-4;  ///< linear drag velocity, m/s
+  double wind_scale = 1.0;      ///< ensemble wind-stress perturbation factor
   int nz = 0;
 
   void operator()(long long j, long long i) const {
@@ -256,10 +132,13 @@ struct FusedTendencyMeanK {
         fv(k, j, i) = 0.0;
         continue;
       }
+      // Baroclinic pressure gradient, averaged from the four surrounding T
+      // cells onto the corner.
       double dpdx =
           0.5 * ((p(k, j, i + 1) + p(k, j + 1, i + 1)) - (p(k, j, i) + p(k, j + 1, i))) * inv_dx;
       double dpdy =
           0.5 * ((p(k, j + 1, i) + p(k, j + 1, i + 1)) - (p(k, j, i) + p(k, j, i + 1))) * inv_dy;
+      // Centered horizontal advection of momentum and Laplacian viscosity.
       double uc = u(k, j, i);
       double vc = v(k, j, i);
       double dudx = 0.5 * (u(k, j, i + 1) - u(k, j, i - 1)) * inv_dx;
@@ -272,12 +151,12 @@ struct FusedTendencyMeanK {
                      (v(k, j + 1, i) - 2.0 * vc + v(k, j - 1, i)) * inv_dy * inv_dy;
       double gu = -dpdx - (uc * dudx + vc * dudy) + viscosity * lap_u;
       double gv = -dpdy - (uc * dvdx + vc * dvdy) + viscosity * lap_v;
-      if (k == 0) {
+      if (k == 0) {  // wind stress enters the top layer
         SurfaceForcing f = climatological_forcing(lon(j, i), lat(j, i), day_of_year);
         gu += wind_scale * f.tau_x / (kRho0 * dz[0]);
         gv += wind_scale * f.tau_y / (kRho0 * dz[0]);
       }
-      if (k == nlev - 1) {
+      if (k == nlev - 1) {  // linear bottom drag in the deepest layer
         gu -= bottom_drag * uc / dz[k];
         gv -= bottom_drag * vc / dz[k];
       }
@@ -593,12 +472,8 @@ struct BclincColumnK {
 }  // namespace dyn
 }  // namespace licomk::core
 
-KXX_REGISTER_FOR_3D(dyn_density, licomk::core::dyn::DensityK);
-KXX_REGISTER_FOR_2D(dyn_pressure, licomk::core::dyn::PressureK);
-KXX_REGISTER_FOR_3D(dyn_tendency, licomk::core::dyn::TendencyK);
-KXX_REGISTER_FOR_2D(dyn_vert_mean, licomk::core::dyn::VertMeanK);
-KXX_REGISTER_FOR_2D(dyn_rho_p, licomk::core::dyn::FusedDensityPressureK);
-KXX_REGISTER_FOR_2D(dyn_tend_mean, licomk::core::dyn::FusedTendencyMeanK);
+KXX_REGISTER_FOR_2D(dyn_rho_p, licomk::core::dyn::DensityPressureK);
+KXX_REGISTER_FOR_2D(dyn_tend_mean, licomk::core::dyn::TendencyMeanK);
 KXX_REGISTER_FOR_2D(dyn_barotropic_eta, licomk::core::dyn::BarotropicEtaK);
 KXX_REGISTER_FOR_2D(dyn_barotropic_uv, licomk::core::dyn::BarotropicUVK);
 KXX_REGISTER_FOR_2D(dyn_asselin2d, licomk::core::dyn::AsselinK2D);
@@ -612,13 +487,6 @@ namespace {
 kxx::MDRangePolicy2 interior2(const LocalGrid& g) {
   const int h = decomp::kHaloWidth;
   return kxx::MDRangePolicy2({h, h}, {h + g.ny(), h + g.nx()});
-}
-
-kxx::MDRangePolicy3 interior3(const LocalGrid& g) {
-  // Single-plane tiles keep the LDM slab footprint small and yield > 64 tiles
-  // on test-sized grids, so every CPE's double-buffered prefetch engages.
-  const int h = decomp::kHaloWidth;
-  return kxx::MDRangePolicy3({0, h, h}, {g.nz(), h + g.ny(), h + g.nx()}, {1, 4, 64});
 }
 
 }  // namespace
@@ -672,115 +540,53 @@ void implicit_vertical_solve(int nlev, double dt, const double* kappa_face, cons
   lu.solve(x);
 }
 
-void compute_density(const LocalGrid& g, bool linear_eos, const halo::BlockField3D& t,
-                     const halo::BlockField3D& s, halo::BlockField3D& rho) {
-  dyn::DensityK f{cref(g.kmt_view()), cref(t), cref(s), mref(rho),
-                  g.vertical().centers().data(), linear_eos ? 1 : 0};
+void compute_density_pressure(const LocalGrid& g, bool linear_eos, const halo::BlockField3D& t,
+                              const halo::BlockField3D& s, halo::BlockField3D& rho,
+                              halo::BlockField3D& pressure) {
+  dyn::DensityPressureK f{cref(g.kmt_view()),
+                          cref(t),
+                          cref(s),
+                          mref(rho),
+                          mref(pressure),
+                          g.vertical().centers().data(),
+                          g.vertical().thicknesses().data(),
+                          linear_eos ? 1 : 0};
   // Density is needed one ring beyond the interior (pressure gradients at
   // boundary corners), and tracer halos are valid, so run on the full block.
-  kxx::parallel_for("dyn_density",
-                    kxx::MDRangePolicy3({0, 0, 0}, {g.nz(), g.ny_total(), g.nx_total()}), f);
+  kxx::parallel_for_packed("dyn_rho_p",
+                           kxx::MDRangePolicy2({0, 0}, {g.ny_total(), g.nx_total()}),
+                           cref(g.kmt_view()).levels(), f);
   rho.mark_dirty();
-}
-
-void compute_pressure(const LocalGrid& g, const halo::BlockField3D& rho,
-                      const halo::BlockField2D& eta, halo::BlockField3D& pressure) {
-  dyn::PressureK f{cref(g.kmt_view()), cref(rho), cref(eta), mref(pressure),
-                   g.vertical().centers().data(), g.vertical().thicknesses().data()};
-  kxx::parallel_for("dyn_pressure",
-                    kxx::MDRangePolicy2({0, 0}, {g.ny_total(), g.nx_total()}), f);
   pressure.mark_dirty();
 }
 
-void compute_momentum_tendencies(const LocalGrid& g, const ModelConfig& cfg,
-                                 const OceanState& state, double day_of_year,
-                                 halo::BlockField3D& fu, halo::BlockField3D& fv) {
+void compute_tendency_means(const LocalGrid& g, const ModelConfig& cfg, const OceanState& state,
+                            double day_of_year, halo::BlockField3D& fu, halo::BlockField3D& fv,
+                            halo::BlockField2D& gu_bar, halo::BlockField2D& gv_bar) {
   // Resolution-scaled viscosity from a GLOBAL representative spacing: a
   // block-local spacing would make the physics depend on the decomposition.
   const auto& gh = g.global().h();
   double dx_mean = gh.dx_t(gh.ny() / 2, gh.nx() / 2);
-  dyn::TendencyK f{cref(g.kmu_view()),
-                   cref(g.dxu_view()),
-                   cref(g.dyu_view()),
-                   cref(g.lon_view()),
-                   cref(g.lat_view()),
-                   cref(state.u_cur),
-                   cref(state.v_cur),
-                   cref(state.pressure),
-                   mref(fu),
-                   mref(fv),
-                   g.vertical().thicknesses().data(),
-                   cfg.effective_viscosity(dx_mean),
-                   day_of_year,
-                   5.0e-4,
-                   cfg.wind_stress_scale};
-  kxx::parallel_for("dyn_tendency", interior3(g), f);
-  fu.mark_dirty();
-  fv.mark_dirty();
-}
-
-void vertical_mean(const LocalGrid& g, const halo::BlockField3D& x3, halo::BlockField2D& out) {
-  dyn::VertMeanK f{cref(g.kmu_view()), cref(x3), mref(out),
-                   g.vertical().thicknesses().data()};
-  kxx::parallel_for("dyn_vert_mean", interior2(g), f);
-  out.mark_dirty();
-}
-
-void compute_density_pressure_fused(const LocalGrid& g, bool linear_eos,
-                                    const halo::BlockField3D& t, const halo::BlockField3D& s,
-                                    halo::BlockField3D& rho, const halo::BlockField2D& eta,
-                                    halo::BlockField3D& pressure) {
-  (void)eta;  // like PressureK's: surface slope belongs to the barotr subsystem
-  dyn::FusedDensityPressureK f{cref(g.kmt_view()),
-                               cref(t),
-                               cref(s),
-                               mref(rho),
-                               mref(pressure),
-                               g.vertical().centers().data(),
-                               g.vertical().thicknesses().data(),
-                               linear_eos ? 1 : 0};
-  // Same full-block footprint as the unfused chain (density is needed one
-  // ring beyond the interior for boundary-corner pressure gradients).
-  kxx::parallel_for_packed("dyn_rho_p",
-                           kxx::MDRangePolicy2({0, 0}, {g.ny_total(), g.nx_total()}),
-                           cref(g.kmt_view()).levels(), f);
-  // The elided traffic: PressureK's full re-read of the rho View.
-  kxx::note_fusion_views_elided(static_cast<long long>(g.nz()) * g.ny_total() *
-                                g.nx_total() * static_cast<long long>(sizeof(double)));
-  rho.mark_dirty();
-  pressure.mark_dirty();
-}
-
-void compute_tendency_means_fused(const LocalGrid& g, const ModelConfig& cfg,
-                                  const OceanState& state, double day_of_year,
-                                  halo::BlockField3D& fu, halo::BlockField3D& fv,
-                                  halo::BlockField2D& gu_bar, halo::BlockField2D& gv_bar) {
-  const auto& gh = g.global().h();
-  double dx_mean = gh.dx_t(gh.ny() / 2, gh.nx() / 2);
-  dyn::FusedTendencyMeanK f{cref(g.kmu_view()),
-                            cref(g.dxu_view()),
-                            cref(g.dyu_view()),
-                            cref(g.lon_view()),
-                            cref(g.lat_view()),
-                            cref(state.u_cur),
-                            cref(state.v_cur),
-                            cref(state.pressure),
-                            mref(fu),
-                            mref(fv),
-                            mref(gu_bar),
-                            mref(gv_bar),
-                            g.vertical().thicknesses().data(),
-                            cfg.effective_viscosity(dx_mean),
-                            day_of_year,
-                            5.0e-4,
-                            cfg.wind_stress_scale,
-                            g.nz()};
-  // No LevelsRef: land corners must still write fu = fv = 0 and zero means,
-  // exactly as the unfused TendencyK/VertMeanK do.
+  dyn::TendencyMeanK f{cref(g.kmu_view()),
+                       cref(g.dxu_view()),
+                       cref(g.dyu_view()),
+                       cref(g.lon_view()),
+                       cref(g.lat_view()),
+                       cref(state.u_cur),
+                       cref(state.v_cur),
+                       cref(state.pressure),
+                       mref(fu),
+                       mref(fv),
+                       mref(gu_bar),
+                       mref(gv_bar),
+                       g.vertical().thicknesses().data(),
+                       cfg.effective_viscosity(dx_mean),
+                       day_of_year,
+                       5.0e-4,
+                       cfg.wind_stress_scale,
+                       g.nz()};
+  // No LevelsRef: land corners must still write fu = fv = 0 and zero means.
   kxx::parallel_for_packed("dyn_tend_mean", interior2(g), f);
-  // Elided: the two VertMeanK re-read passes over fu and fv.
-  kxx::note_fusion_views_elided(2LL * g.nz() * g.ny() * g.nx() *
-                                static_cast<long long>(sizeof(double)));
   fu.mark_dirty();
   fv.mark_dirty();
   gu_bar.mark_dirty();

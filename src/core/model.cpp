@@ -174,7 +174,8 @@ LicomModel::LicomModel(const ModelConfig& cfg, std::shared_ptr<const grid::Globa
   mixer_ = std::make_unique<VerticalMixer>(*lgrid_, comm_, cfg_.vmix, cfg_.canuto_load_balance);
   polar_ = std::make_unique<PolarFilter>(*lgrid_);
   adv_ws_ = std::make_unique<AdvectionWorkspace>(*lgrid_);
-  adv_scratch_ = std::make_unique<TracerAdvScratch>(*lgrid_);
+  adv_scratch_ =
+      std::make_unique<TracerAdvScratch>(*lgrid_, cfg_.hmix == HMixScheme::Biharmonic);
   groups_ = std::make_unique<HaloGroups>(*exchanger_, *state_, *adv_ws_, *adv_scratch_,
                                          halo_method(cfg_));
   ubar_avg_ = halo::BlockField2D("ubar_avg", lgrid_->extent());
@@ -244,21 +245,10 @@ void LicomModel::step() {
     groups_->halo_in.exchange();
   }
 
-  // Fused + packed dynamics chains (DESIGN.md §12): bit-identical to the
-  // unfused dispatches; AthreadSim keeps the per-kernel labels its
-  // LDM-staging pipeline (and ci/check_ldm_staging.py) is built around.
-  const bool fuse =
-      cfg_.fuse_kernels && kxx::default_backend() != kxx::Backend::AthreadSim;
-
   {
     PhaseScope t("readyt", "phase");
-    if (fuse) {
-      compute_density_pressure_fused(*lgrid_, cfg_.linear_eos, state_->t_cur, state_->s_cur,
-                                     state_->rho, state_->eta_cur, state_->pressure);
-    } else {
-      compute_density(*lgrid_, cfg_.linear_eos, state_->t_cur, state_->s_cur, state_->rho);
-      compute_pressure(*lgrid_, state_->rho, state_->eta_cur, state_->pressure);
-    }
+    compute_density_pressure(*lgrid_, cfg_.linear_eos, state_->t_cur, state_->s_cur,
+                             state_->rho, state_->pressure);
   }
 
   // The diffusivity exchange overlaps the readyc tendency kernels: the
@@ -273,15 +263,8 @@ void LicomModel::step() {
 
   {
     PhaseScope t("readyc", "phase");
-    if (fuse) {
-      compute_tendency_means_fused(*lgrid_, cfg_, *state_, day, state_->fu_tend,
-                                   state_->fv_tend, gu_bar_, gv_bar_);
-    } else {
-      compute_momentum_tendencies(*lgrid_, cfg_, *state_, day, state_->fu_tend,
-                                  state_->fv_tend);
-      vertical_mean(*lgrid_, state_->fu_tend, gu_bar_);
-      vertical_mean(*lgrid_, state_->fv_tend, gv_bar_);
-    }
+    compute_tendency_means(*lgrid_, cfg_, *state_, day, state_->fu_tend, state_->fv_tend,
+                           gu_bar_, gv_bar_);
     groups_->kappa.finish();
   }
 
@@ -375,12 +358,10 @@ void LicomModel::run_days(double days) {
       gauge("halo.subcycle.msg_reduction",
             static_cast<double>(subcycle_equiv_) / static_cast<double>(subcycle_msgs_));
     }
-    // Pack/fusion telemetry (process-wide kxx counters; one model per process
+    // Pack telemetry (process-wide kxx counters; one model per process
     // outside the farm, and farm tenants share a backend anyway).
     gauge("kxx.pack.lanes_active", static_cast<double>(kxx::pack_lanes_active()));
     gauge("kxx.pack.lanes_masked", static_cast<double>(kxx::pack_lanes_masked()));
-    gauge("kxx.fusion.views_elided_bytes",
-          static_cast<double>(kxx::fusion_views_elided_bytes()));
     std::uint64_t builds = 0, hits = 0, partials = 0;
     for (const halo::ExchangeGroup* g : halo_groups()) {
       builds += g->plan_builds();

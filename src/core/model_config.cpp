@@ -51,7 +51,6 @@ ModelConfig ModelConfig::testing(int factor) {
   c.grid = grid::shrink(grid::spec_coarse100km(), factor);
   c.grid.nz = 12;
   c.batch_halo_exchange = env_flag_or("LICOMK_BATCH_HALO", c.batch_halo_exchange);
-  c.fuse_kernels = env_flag_or("LICOMK_FUSE", c.fuse_kernels);
   c.weighted_decomposition =
       env_flag_or("LICOMK_WEIGHTED_DECOMP", c.weighted_decomposition);
   return c;
@@ -112,7 +111,6 @@ ModelConfig ModelConfig::from_config(const util::Config& cfg) {
   c.eliminate_redundant_halo = cfg.get_bool_or("model.eliminate_redundant_halo", true);
   c.batch_halo_exchange = cfg.get_bool_or("model.batch_halo_exchange", true);
   c.verify_halo_crc = cfg.get_bool_or("model.verify_halo_crc", false);
-  c.fuse_kernels = cfg.get_bool_or("model.fuse_kernels", true);
   c.weighted_decomposition = cfg.get_bool_or("model.weighted_decomposition", false);
   c.fp32_barotropic = cfg.get_bool_or("model.fp32_barotropic", false);
   c.wind_stress_scale = cfg.get_double_or("model.wind_stress_scale", 1.0);
@@ -131,7 +129,6 @@ std::string ModelConfig::describe() const {
      << (canuto_load_balance ? "+lb" : "") << " halo3d="
      << (halo_strategy == HaloStrategy::TransposeVerticalMajor ? "transpose" : "horizontal")
      << (verify_halo_crc ? " halo-crc" : "") << (batch_halo_exchange ? "" : " no-halo-batch")
-     << (fuse_kernels ? "" : " no-fusion")
      << (weighted_decomposition ? " weighted-decomp" : "")
      << (fp32_barotropic ? " fp32-barotr" : "");
   if (wind_stress_scale != 1.0) os << " wind-scale=" << wind_stress_scale;

@@ -11,57 +11,25 @@
 namespace licomk::core {
 namespace trc {
 
-/// Flux-form Laplacian horizontal diffusion added onto the advected field.
-/// No-flux across land faces by construction (face conductance zero).
-struct HDiffK {
+/// Flux-form horizontal diffusion of BOTH tracers added onto their advected
+/// fields: dq/dt = div(coef * grad(q)), applied as dt_coef * div. No flux
+/// crosses land faces (face conductance zero). The face conductances
+/// cond_e/cond_n depend only on geometry and k, so they are computed once per
+/// face and applied to both tracers. The Laplacian scheme passes the
+/// time-level-n tracers with dt*A_h; the biharmonic scheme passes their
+/// first-pass Laplacians (LapFieldK) with -dt*A4.
+struct HDiffPairK {
   CI2 kmt;
   CF2 dxt, dyt, dxu, dyu, area;
-  CF3 q;     ///< pre-step tracer (diffusion operates on time level n)
-  F3 q_acc;  ///< advected field, incremented in place
-  const double* dz = nullptr;
-  double dt_ah = 0.0;  ///< dt * A_h
-  long long seam_j = -2;  ///< closed fold seam (see LocalGrid::seam_row)
-
-  /// LDM staging footprint: q carries the ±1 horizontal diffusion stencil.
-  /// q_acc is read-modify-write (below-bottom cells are skipped, so inout —
-  /// not out — preserves their values through the round trip).
-  void kxx_access(kxx::AccessSpec& a) const {
-    a.in(q).halo(1, 1, 1).halo(2, 1, 1);
-    a.inout(q_acc);
-  }
-
-  void operator()(long long k, long long j, long long i) const {
-    if (k >= kmt(j, i)) return;
-    auto cond_e = [&](long long jj, long long ii) {
-      if (k >= kmt(jj, ii) || k >= kmt(jj, ii + 1)) return 0.0;
-      return dyu(jj, ii) * dz[k] / dxt(jj, ii);
-    };
-    auto cond_n = [&](long long jj, long long ii) {
-      if (jj == seam_j || k >= kmt(jj, ii) || k >= kmt(jj + 1, ii)) return 0.0;
-      return dxu(jj, ii) * dz[k] / dyt(jj, ii);
-    };
-    double div = cond_e(j, i) * (q(k, j, i + 1) - q(k, j, i)) -
-                 cond_e(j, i - 1) * (q(k, j, i) - q(k, j, i - 1)) +
-                 cond_n(j, i) * (q(k, j + 1, i) - q(k, j, i)) -
-                 cond_n(j - 1, i) * (q(k, j, i) - q(k, j - 1, i));
-    q_acc(k, j, i) += dt_ah * div / (area(j, i) * dz[k]);
-  }
-};
-
-/// Fused Laplacian diffusion of BOTH tracers in one sweep: the face
-/// conductances cond_e/cond_n depend only on geometry and k, so computing
-/// them once and applying them to t and s halves the metric/mask traffic the
-/// unfused per-tracer dispatches pay twice. Each tracer's increment is
-/// textually HDiffK's expression — bit-identical to two HDiffK passes.
-struct FusedHDiffPairK {
-  CI2 kmt;
-  CF2 dxt, dyt, dxu, dyu, area;
-  CF3 qa, qb;      ///< pre-step tracers (time level n): t, s
+  CF3 qa, qb;         ///< diffused fields of t and s
   F3 qa_acc, qb_acc;  ///< advected fields, incremented in place
   const double* dz = nullptr;
-  double dt_ah = 0.0;
-  long long seam_j = -2;
+  double dt_coef = 0.0;   ///< dt * mixing coefficient (dt*A_h, or -dt*A4)
+  long long seam_j = -2;  ///< closed fold seam (see LocalGrid::seam_row)
 
+  /// LDM staging footprint: qa/qb carry the ±1 horizontal diffusion stencil.
+  /// The accumulators are read-modify-write (below-bottom cells are skipped,
+  /// so inout — not out — preserves their values through the round trip).
   void kxx_access(kxx::AccessSpec& a) const {
     a.in(qa).halo(1, 1, 1).halo(2, 1, 1);
     a.in(qb).halo(1, 1, 1).halo(2, 1, 1);
@@ -87,12 +55,12 @@ struct FusedHDiffPairK {
                    cw * (qa(k, j, i) - qa(k, j, i - 1)) +
                    cn * (qa(k, j + 1, i) - qa(k, j, i)) -
                    cs * (qa(k, j, i) - qa(k, j - 1, i));
-    qa_acc(k, j, i) += dt_ah * div_a / (area(j, i) * dz[k]);
+    qa_acc(k, j, i) += dt_coef * div_a / (area(j, i) * dz[k]);
     double div_b = ce * (qb(k, j, i + 1) - qb(k, j, i)) -
                    cw * (qb(k, j, i) - qb(k, j, i - 1)) +
                    cn * (qb(k, j + 1, i) - qb(k, j, i)) -
                    cs * (qb(k, j, i) - qb(k, j - 1, i));
-    qb_acc(k, j, i) += dt_ah * div_b / (area(j, i) * dz[k]);
+    qb_acc(k, j, i) += dt_coef * div_b / (area(j, i) * dz[k]);
   }
 
   /// Packed form, dispatched on the plain i-tail mask (no LevelsRef). With a
@@ -143,7 +111,7 @@ struct FusedHDiffPairK {
     const P div_a = ce * (qa_e - qa_c) - cw * (qa_c - qa_w) + cn * (qa_n - qa_c) -
                     cs * (qa_c - qa_s);
     const P acc_a = kxx::pack_load<N>(qa_acc.ptr(k, j, i0));
-    kxx::pack_store<N>(act, qa_acc.ptr(k, j, i0), acc_a + dt_ah * div_a / denom);
+    kxx::pack_store<N>(act, qa_acc.ptr(k, j, i0), acc_a + dt_coef * div_a / denom);
 
     const P qb_c = kxx::pack_load<N>(qb.ptr(k, j, i0));
     const P qb_e = kxx::pack_load<N>(qb.ptr(k, j, i0 + 1));
@@ -153,13 +121,13 @@ struct FusedHDiffPairK {
     const P div_b = ce * (qb_e - qb_c) - cw * (qb_c - qb_w) + cn * (qb_n - qb_c) -
                     cs * (qb_c - qb_s);
     const P acc_b = kxx::pack_load<N>(qb_acc.ptr(k, j, i0));
-    kxx::pack_store<N>(act, qb_acc.ptr(k, j, i0), acc_b + dt_ah * div_b / denom);
+    kxx::pack_store<N>(act, qb_acc.ptr(k, j, i0), acc_b + dt_coef * div_b / denom);
   }
 };
 
 /// First pass of the biharmonic operator: the flux-form Laplacian of q as a
-/// FIELD (not an increment). The second pass reuses HDiffK on this field
-/// with a negative coefficient: dq/dt = -A4 * lap(lap(q)). Two ghost layers
+/// FIELD (not an increment). The second pass runs HDiffPairK on the two
+/// tracers' Laplacians with a negative coefficient: dq/dt = -A4 * lap(lap(q)). Two ghost layers
 /// make the whole ∇⁴ stencil computable without an extra halo exchange:
 /// this pass runs on interior + 1 ring, the second on the interior.
 struct LapFieldK {
@@ -258,8 +226,7 @@ struct TracerColumnPairK {
 }  // namespace trc
 }  // namespace licomk::core
 
-KXX_REGISTER_FOR_3D(trc_hdiff, licomk::core::trc::HDiffK);
-KXX_REGISTER_FOR_3D(trc_hdiff_pair, licomk::core::trc::FusedHDiffPairK);
+KXX_REGISTER_FOR_3D(trc_hdiff_pair, licomk::core::trc::HDiffPairK);
 KXX_REGISTER_FOR_3D(trc_lap_field, licomk::core::trc::LapFieldK);
 KXX_REGISTER_FOR_2D(trc_column, licomk::core::trc::TracerColumnPairK);
 
@@ -276,66 +243,51 @@ void tracer_step(const LocalGrid& g, const ModelConfig& cfg, OceanState& state,
   const double ah = cfg.effective_diffusivity(dx_mean);
   const double restore_rate = 1.0 / (cfg.restore_timescale_days * 86400.0);
 
-  const bool fuse_adv =
-      cfg.fuse_kernels && kxx::default_backend() != kxx::Backend::AthreadSim;
   compute_volume_fluxes(g, state.u_cur, state.v_cur, ws, cfg.gm_kappa, &state.rho);
   advect_tracer_pair(g, dt, state.t_cur, state.s_cur, ws, scratch, q_td_group, state.t_new,
-                     state.s_new, fuse_adv);
+                     state.s_new);
 
-  // Single-plane tiles for the staged trc_hdiff dispatches (see dynamics.cpp).
+  // Single-plane tiles for the staged trc_hdiff_pair dispatch: small LDM
+  // slabs and > 64 tiles on test-sized grids, so every CPE's double-buffered
+  // prefetch has a next tile to fetch.
   kxx::MDRangePolicy3 interior3({0, h, h}, {g.nz(), h + g.ny(), h + g.nx()}, {1, 4, 64});
   kxx::MDRangePolicy2 interior2({h, h}, {h + g.ny(), h + g.nx()});
-
   const long long seam = g.seam_row() >= 0 ? g.seam_row() : -2;
-  const double a4 = cfg.effective_biharmonic(dx_mean);
+  const double* dz = g.vertical().thicknesses().data();
 
-  // Fused t+s Laplacian diffusion: one sweep computes the face conductances
-  // once for both tracers (bit-identical to the per-tracer HDiffK passes).
-  // AthreadSim keeps the unfused dispatches — its LDM-staging pipeline is
-  // built around the registered per-kernel labels. The biharmonic path also
-  // stays unfused: both tracers round-trip through the shared ws.hmix_lap
-  // scratch field, so their Laplacian passes cannot overlap.
-  const bool fuse = cfg.fuse_kernels && cfg.hmix == HMixScheme::Laplacian &&
-                    kxx::default_backend() != kxx::Backend::AthreadSim;
-  if (fuse) {
-    trc::FusedHDiffPairK hp{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                            cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                            cref(state.t_cur),  cref(state.s_cur),
-                            mref(state.t_new),  mref(state.s_new),
-                            g.vertical().thicknesses().data(), dt * ah, seam};
-    kxx::parallel_for_packed("trc_hdiff_pair", interior3, hp);
-    // Elided: the second pass's re-reads of the 2-D metrics/mask (5 doubles +
-    // 3 kmt probes per face pair, counted as the five metric planes).
-    kxx::note_fusion_views_elided(5LL * g.ny() * g.nx() *
-                                  static_cast<long long>(sizeof(double)));
-  }
-
-  if (!fuse) {
+  // Horizontal mixing of t and s in one pair dispatch. Biharmonic first
+  // takes each tracer's Laplacian over interior + 1 ring into its own
+  // scratch field, then applies -A4 * lap(lap(q)) on the interior.
+  const halo::BlockField3D* qa = &state.t_cur;
+  const halo::BlockField3D* qb = &state.s_cur;
+  double dt_coef = dt * ah;
+  if (cfg.hmix == HMixScheme::Biharmonic) {
+    LICOMK_REQUIRE(scratch.hmix_lap.view().valid(),
+                   "biharmonic mixing needs a TracerAdvScratch built with biharmonic = true");
+    kxx::MDRangePolicy3 ring1({0, 1, 1}, {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
     for (int which = 0; which < 2; ++which) {
-      const halo::BlockField3D& q_cur = which == 0 ? state.t_cur : state.s_cur;
-      halo::BlockField3D& q_new = which == 0 ? state.t_new : state.s_new;
-      if (cfg.hmix == HMixScheme::Laplacian) {
-        trc::HDiffK hd{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                       cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                       cref(q_cur),        mref(q_new),        g.vertical().thicknesses().data(),
-                       dt * ah,            seam};
-        kxx::parallel_for("trc_hdiff", interior3, hd);
-      } else {
-        // Biharmonic: lap(q) over interior + 1 ring, then -A4 * lap(lap(q)).
-        kxx::MDRangePolicy3 ring1({0, 1, 1}, {g.nz(), g.ny_total() - 1, g.nx_total() - 1});
-        trc::LapFieldK lf{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                          cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                          cref(q_cur),        mref(ws.hmix_lap),
-                          g.vertical().thicknesses().data(), seam};
-        kxx::parallel_for("trc_lap_field", ring1, lf);
-        trc::HDiffK bh{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
-                       cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
-                       cref(ws.hmix_lap),  mref(q_new),        g.vertical().thicknesses().data(),
-                       -dt * a4,           seam};
-        kxx::parallel_for("trc_hdiff", interior3, bh);
-      }
+      trc::LapFieldK lf{cref(g.kmt_view()),
+                        cref(g.dxt_view()),
+                        cref(g.dyt_view()),
+                        cref(g.dxu_view()),
+                        cref(g.dyu_view()),
+                        cref(g.area_view()),
+                        cref(which == 0 ? state.t_cur : state.s_cur),
+                        mref(which == 0 ? ws.hmix_lap : scratch.hmix_lap),
+                        dz,
+                        seam};
+      kxx::parallel_for("trc_lap_field", ring1, lf);
     }
+    qa = &ws.hmix_lap;
+    qb = &scratch.hmix_lap;
+    dt_coef = -dt * cfg.effective_biharmonic(dx_mean);
   }
+  trc::HDiffPairK hp{cref(g.kmt_view()), cref(g.dxt_view()), cref(g.dyt_view()),
+                     cref(g.dxu_view()), cref(g.dyu_view()), cref(g.area_view()),
+                     cref(*qa),          cref(*qb),          mref(state.t_new),
+                     mref(state.s_new),  dz,                 dt_coef,
+                     seam};
+  kxx::parallel_for_packed("trc_hdiff_pair", interior3, hp);
 
   // The shortwave absorption profile depends only on the interface depths:
   // tabulate it once per step instead of twice per level in every column.

@@ -24,7 +24,6 @@ struct RuntimeState {
   std::atomic<long long> fallbacks{0};
   std::atomic<long long> pack_active{0};
   std::atomic<long long> pack_masked{0};
-  std::atomic<long long> fusion_elided{0};
 };
 
 void require_valid_pack_size(int n) {
@@ -162,18 +161,6 @@ void reset_pack_lane_counts() {
   state().pack_active.store(0);
   state().pack_masked.store(0);
 }
-
-long long fusion_views_elided_bytes() { return state().fusion_elided.load(); }
-
-void note_fusion_views_elided(long long bytes) {
-  state().fusion_elided.fetch_add(bytes);
-  if (telemetry::enabled()) {
-    static telemetry::Counter& c = telemetry::counter("kxx.fusion.views_elided_bytes");
-    c.add(static_cast<std::uint64_t>(bytes));
-  }
-}
-
-void reset_fusion_views_elided() { state().fusion_elided.store(0); }
 
 long long athread_fallback_count() { return state().fallbacks.load(); }
 

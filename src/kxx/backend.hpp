@@ -115,14 +115,6 @@ long long pack_lanes_active();
 long long pack_lanes_masked();
 void reset_pack_lane_counts();
 
-/// Bytes of intermediate View traffic elided by fused kernels (ρ re-reads,
-/// tendency re-reads for the vertical means, shared advective fluxes) —
-/// accumulated by the fused call sites, exported as the
-/// kxx.fusion.views_elided_bytes gauge.
-long long fusion_views_elided_bytes();
-void note_fusion_views_elided(long long bytes);
-void reset_fusion_views_elided();
-
 namespace detail {
 void note_athread_fallback();
 void note_pack_lanes(long long active, long long masked);

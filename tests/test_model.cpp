@@ -139,49 +139,45 @@ StateSig state_signature(const lc::LicomModel& m) {
 
 }  // namespace
 
-// The ISSUE acceptance gate: the final prognostic state is CRC-64 identical
-// per field across LICOMK_PACK_SIZE ∈ {1, 4, 8} and fused vs unfused kernel
-// chains — packing and fusion change performance, never a single bit.
+// The final prognostic state is CRC-64 identical per field across
+// LICOMK_PACK_SIZE ∈ {1, 4, 8} and the Serial, Threads and AthreadSim
+// backends — one kernel set everywhere; packing and the dispatch path change
+// performance, never a single bit.
 TEST(Model, PackFusionCrcMatrixSingleRank) {
-  auto run = [](kxx::Backend backend, int nthreads, int pack, bool fuse) {
+  auto run = [](kxx::Backend backend, int nthreads, int pack) {
     kxx::InitConfig kc{backend, nthreads, false};
     kc.pack_size = pack;
     kxx::initialize(kc);
-    auto cfg = small_config();
-    cfg.fuse_kernels = fuse;
-    lc::LicomModel m(cfg);
+    lc::LicomModel m(small_config());
     m.run_days(0.5);
     return state_signature(m);
   };
-  StateSig ref = run(kxx::Backend::Serial, 1, 1, false);  // scalar-unfused
-  for (int pack : {1, 4, 8}) {
-    for (bool fuse : {false, true}) {
-      StateSig sig = run(kxx::Backend::Serial, 1, pack, fuse);
-      EXPECT_TRUE(sig == ref) << "serial pack=" << pack << " fuse=" << fuse;
-    }
+  StateSig ref = run(kxx::Backend::Serial, 1, 1);  // scalar
+  for (int pack : {4, 8}) {
+    StateSig sig = run(kxx::Backend::Serial, 1, pack);
+    EXPECT_TRUE(sig == ref) << "serial pack=" << pack;
   }
-  // Threads backend, fully packed + fused (the perf_smoke gate configuration).
-  StateSig thr = run(kxx::Backend::Threads, 4, 8, true);
-  EXPECT_TRUE(thr == ref) << "threads pack=8 fused";
+  // Threads backend, fully packed (the perf_smoke gate configuration).
+  StateSig thr = run(kxx::Backend::Threads, 4, 8);
+  EXPECT_TRUE(thr == ref) << "threads pack=8";
+  // AthreadSim runs the same chains through the registry and LDM staging
+  // (packed dispatch lowers to the scalar body there).
+  StateSig ath = run(kxx::Backend::AthreadSim, 1, 8);
+  EXPECT_TRUE(ath == ref) << "athread";
   kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
 }
 
 TEST(Model, PackFusionCrcMatrixMultiRank) {
-  auto cfg_of = [](bool fuse) {
-    auto cfg = small_config();
-    cfg.fuse_kernels = fuse;
-    return cfg;
-  };
   auto global = std::make_shared<licomk::grid::GlobalGrid>(small_config().grid,
                                                            small_config().bathymetry_seed);
   const int nranks = 4;
-  auto run = [&](int pack, bool fuse) {
-    kxx::InitConfig kc{kxx::Backend::Serial, 1, false};
+  auto run = [&](kxx::Backend backend, int pack) {
+    kxx::InitConfig kc{backend, 1, false};
     kc.pack_size = pack;
     kxx::initialize(kc);
     std::vector<StateSig> sigs(nranks);
     lco::Runtime::run(nranks, [&](lco::Communicator& c) {
-      lc::LicomModel m(cfg_of(fuse), global, c);
+      lc::LicomModel m(small_config(), global, c);
       m.run_days(0.5);
       sigs[static_cast<std::size_t>(c.rank())] = state_signature(m);
     });
@@ -189,12 +185,14 @@ TEST(Model, PackFusionCrcMatrixMultiRank) {
   };
   // Per-rank equality of every block (halos included) implies global-field
   // equality under any decomposition.
-  auto ref = run(1, false);
-  for (auto [pack, fuse] : {std::pair<int, bool>{4, true}, {8, true}, {8, false}}) {
-    auto sigs = run(pack, fuse);
+  auto ref = run(kxx::Backend::Serial, 1);
+  for (auto [backend, pack] : {std::pair<kxx::Backend, int>{kxx::Backend::Serial, 4},
+                               {kxx::Backend::Serial, 8},
+                               {kxx::Backend::AthreadSim, 8}}) {
+    auto sigs = run(backend, pack);
     for (int r = 0; r < nranks; ++r) {
       EXPECT_TRUE(sigs[static_cast<std::size_t>(r)] == ref[static_cast<std::size_t>(r)])
-          << "rank " << r << " pack=" << pack << " fuse=" << fuse;
+          << "rank " << r << " " << kxx::backend_name(backend) << " pack=" << pack;
     }
   }
   kxx::initialize(kxx::config_from_env({kxx::Backend::Serial, 1, false}));
@@ -466,10 +464,13 @@ TEST(Model, GoldenStateCrcPinned) {
     void (*tweak)(lc::ModelConfig&);
     StateSig sig;
   };
-  // The default, unfused and AthreadSim paths are bit-identical by design,
-  // so they share one fingerprint.
+  // Serial and AthreadSim run one kernel set, bit-identical by design, so
+  // each mixing scheme has one fingerprint for both backends.
   const StateSig def{0xbbae2f9b800f1617ull, 0xf9c1b9ed1c9d8a39ull, 0x3e48902c45066fecull,
                      0x8103f846dc0fa724ull, 0x831d1913fbbc94fcull};
+  const StateSig biharmonic{0xc3d02df05ab6e8b2ull, 0x3e86503100eca6ffull, 0x6c1fcdcfd7910ec7ull,
+                            0x4fc5a5d3b2075ccfull, 0x7ab1eb848d8aebd0ull};
+  auto use_biharmonic = [](lc::ModelConfig& c) { c.hmix = lc::HMixScheme::Biharmonic; };
   const Golden cases[] = {
       {"default", kxx::Backend::Serial, [](lc::ModelConfig&) {}, def},
       {"no_solar",
@@ -477,13 +478,9 @@ TEST(Model, GoldenStateCrcPinned) {
        [](lc::ModelConfig& c) { c.solar_penetration = false; },
        {0x13bf16a441585431ull, 0xdd6400bed6239223ull, 0x73b5f536f308530full,
         0xb0ebc456fda13bd4ull, 0xfd5e74d4885893bfull}},
-      {"biharmonic",
-       kxx::Backend::Serial,
-       [](lc::ModelConfig& c) { c.hmix = lc::HMixScheme::Biharmonic; },
-       {0xc3d02df05ab6e8b2ull, 0x3e86503100eca6ffull, 0x6c1fcdcfd7910ec7ull,
-        0x4fc5a5d3b2075ccfull, 0x7ab1eb848d8aebd0ull}},
-      {"unfused", kxx::Backend::Serial, [](lc::ModelConfig& c) { c.fuse_kernels = false; }, def},
+      {"biharmonic", kxx::Backend::Serial, use_biharmonic, biharmonic},
       {"athread", kxx::Backend::AthreadSim, [](lc::ModelConfig&) {}, def},
+      {"athread_biharmonic", kxx::Backend::AthreadSim, use_biharmonic, biharmonic},
   };
   for (const Golden& g : cases) {
     kxx::initialize({g.backend, 1, false});

@@ -351,15 +351,6 @@ TEST(ParallelForPacked, LaneTelemetryCountsActiveAndMasked) {
   EXPECT_EQ(kxx::pack_lanes_masked(), 0);
 }
 
-TEST(ParallelForPacked, FusionElisionGaugeAccumulates) {
-  kxx::initialize({kxx::Backend::Serial, 1, false});
-  kxx::reset_fusion_views_elided();
-  EXPECT_EQ(kxx::fusion_views_elided_bytes(), 0);
-  kxx::note_fusion_views_elided(1024);
-  kxx::note_fusion_views_elided(512);
-  EXPECT_EQ(kxx::fusion_views_elided_bytes(), 1536);
-}
-
 TEST(ParallelForPacked, InvalidPackSizeRejected) {
   EXPECT_THROW(kxx::set_pack_size(3), licomk::InvalidArgument);
   EXPECT_THROW(kxx::set_pack_size(0), licomk::InvalidArgument);
